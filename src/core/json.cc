@@ -232,8 +232,29 @@ class Parser
         return Value{value};
     }
 
+    /** One open array/object level, held for the scope of its parse. */
+    class Level
+    {
+      public:
+        explicit Level(Parser &parser) : parser_(parser)
+        {
+            if (parser.depth_ >= kMaxDepth)
+                fatal(format("json: nesting deeper than %d levels at "
+                             "offset %zu",
+                             kMaxDepth, parser.pos_));
+            ++parser.depth_;
+        }
+        ~Level() { --parser_.depth_; }
+        Level(const Level &) = delete;
+        Level &operator=(const Level &) = delete;
+
+      private:
+        Parser &parser_;
+    };
+
     Value parseArray()
     {
+        const Level level(*this);
         expect('[');
         Array out;
         if (peek() == ']') {
@@ -253,6 +274,7 @@ class Parser
 
     Value parseObject()
     {
+        const Level level(*this);
         expect('{');
         Object out;
         if (peek() == '}') {
@@ -274,6 +296,7 @@ class Parser
 
     const std::string &text_;
     size_t pos_ = 0;
+    int depth_ = 0;
 };
 
 } // namespace
@@ -284,18 +307,30 @@ parse(const std::string &text)
     return Parser(text).parse();
 }
 
-std::string
-numberToJson(double value)
+void
+appendNumber(std::string &out, double value)
 {
-    if (std::isnan(value))
-        return "\"nan\"";
-    if (std::isinf(value))
-        return value < 0 ? "\"-inf\"" : "\"inf\"";
+    if (std::isnan(value)) {
+        out += "\"nan\"";
+        return;
+    }
+    if (std::isinf(value)) {
+        out += value < 0 ? "\"-inf\"" : "\"inf\"";
+        return;
+    }
     char buf[32];
     const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
     if (ec != std::errc{})
         panic("json: double does not fit the to_chars buffer");
-    return std::string(buf, ptr);
+    out.append(buf, ptr);
+}
+
+std::string
+numberToJson(double value)
+{
+    std::string out;
+    appendNumber(out, value);
+    return out;
 }
 
 double
@@ -315,33 +350,42 @@ numberFromJson(const Value &v)
     return v.num();
 }
 
-std::string
-quote(const std::string &s)
+void
+appendQuoted(std::string &out, std::string_view s)
 {
-    // Every control character is escaped, so quoted strings never
-    // contain a raw newline — the invariant the JSON-line service
-    // protocol's framing depends on (docs/SERVICE.md).
-    std::string out = "\"";
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; continue;
-          case '\\': out += "\\\\"; continue;
-          case '\n': out += "\\n"; continue;
-          case '\t': out += "\\t"; continue;
-          case '\r': out += "\\r"; continue;
-          default: break;
-        }
-        const auto uc = static_cast<unsigned char>(c);
-        if (uc < 0x20) {
-            static const char hex[] = "0123456789abcdef";
-            out += "\\u00";
-            out += hex[uc >> 4];
-            out += hex[uc & 0xf];
+    static const char hex[] = "0123456789abcdef";
+    out += '"';
+    size_t run = 0; // start of the pending run of bytes that pass through
+    for (size_t i = 0; i < s.size(); ++i) {
+        const auto uc = static_cast<unsigned char>(s[i]);
+        if (uc >= 0x20 && uc != '"' && uc != '\\')
             continue;
+        out.append(s.data() + run, i - run);
+        run = i + 1;
+        switch (uc) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          case '\r': out += "\\r"; break;
+          default: {
+              const char esc[] = {'\\', 'u', '0', '0', hex[uc >> 4],
+                                  hex[uc & 0xf]};
+              out.append(esc, sizeof(esc));
+          }
         }
-        out += c;
     }
-    return out + "\"";
+    out.append(s.data() + run, s.size() - run);
+    out += '"';
+}
+
+std::string
+quote(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size() + 2);
+    appendQuoted(out, s);
+    return out;
 }
 
 } // namespace polymath::json

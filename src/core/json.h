@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -46,8 +47,18 @@ struct Value
     bool has(const std::string &key) const;
 };
 
+/**
+ * Deepest array/object nesting parse() accepts. The parser recurses once
+ * per level, so without a bound one hostile line of brackets on the pmcd
+ * socket overflows the stack. Every document the stack writes nests far
+ * less: a request or reply 3 levels, an srDFG two per index-expression
+ * level.
+ */
+inline constexpr int kMaxDepth = 512;
+
 /** Parses @p text as one JSON document. @throws UserError on malformed
- *  input (including trailing characters). */
+ *  input (including trailing characters) and on nesting deeper than
+ *  kMaxDepth, with the byte offset where it went wrong. */
 Value parse(const std::string &text);
 
 /**
@@ -59,12 +70,25 @@ Value parse(const std::string &text);
  */
 std::string numberToJson(double value);
 
+/** Appends numberToJson(@p value) to @p out without a temporary. */
+void appendNumber(std::string &out, double value);
+
 /** Inverse of numberToJson: a plain number or one of the non-finite
  *  marker strings. */
 double numberFromJson(const Value &v);
 
-/** JSON string literal with escaping for '"', '\\', and '\n'. */
-std::string quote(const std::string &s);
+/**
+ * Appends @p s to @p out as a JSON string literal: '"' and '\\' are
+ * backslash-escaped, and so is every control character (\n \t \r by
+ * name, the rest as \u00XX), so a quoted string never holds a raw
+ * newline, the invariant the JSON-line service protocol's framing
+ * depends on (docs/SERVICE.md). Other bytes, UTF-8 included, pass
+ * through; runs of them are copied in bulk.
+ */
+void appendQuoted(std::string &out, std::string_view s);
+
+/** appendQuoted() into a fresh string. */
+std::string quote(std::string_view s);
 
 } // namespace polymath::json
 

@@ -93,12 +93,23 @@ Shape::unflatten(int64_t offset) const
 std::string
 Shape::str() const
 {
-    if (isScalar())
-        return "scalar";
     std::string out;
-    for (int64_t d : dims())
-        out += "[" + std::to_string(d) + "]";
+    appendTo(out);
     return out;
+}
+
+void
+Shape::appendTo(std::string &out) const
+{
+    if (isScalar()) {
+        out += "scalar";
+        return;
+    }
+    for (int64_t d : dims()) {
+        out += '[';
+        out += std::to_string(d);
+        out += ']';
+    }
 }
 
 } // namespace polymath

@@ -1,34 +1,42 @@
 #include "lower/accel_spec.h"
 
-#include "core/strings.h"
-
 namespace polymath::lower {
 
 std::string
 IrFragment::str() const
 {
-    std::string out = opcode + "(";
-    bool first = true;
-    for (const auto &in : inputs) {
-        if (!first)
-            out += ", ";
-        first = false;
-        out += in.name + in.shape.str();
-    }
-    out += " -> ";
-    first = true;
-    for (const auto &o : outputs) {
-        if (!first)
-            out += ", ";
-        first = false;
-        out += o.name + o.shape.str();
-    }
-    out += ")";
-    for (const auto &[k, v] : attrs)
-        out += " " + k + "=" + std::to_string(v);
-    if (flops)
-        out += format(" flops=%lld", static_cast<long long>(flops));
+    std::string out;
+    appendTo(out);
     return out;
+}
+
+void
+IrFragment::appendTo(std::string &out) const
+{
+    auto args = [&out](const std::vector<TensorArg> &list) {
+        for (size_t i = 0; i < list.size(); ++i) {
+            if (i)
+                out += ", ";
+            out += list[i].name;
+            list[i].shape.appendTo(out);
+        }
+    };
+    out += opcode;
+    out += '(';
+    args(inputs);
+    out += " -> ";
+    args(outputs);
+    out += ')';
+    for (const auto &[k, v] : attrs) {
+        out += ' ';
+        out += k;
+        out += '=';
+        out += std::to_string(v);
+    }
+    if (flops) {
+        out += " flops=";
+        out += std::to_string(flops);
+    }
 }
 
 int64_t
@@ -43,8 +51,24 @@ AccelProgram::totalFlops() const
 void
 AcceleratorRegistry::add(AcceleratorSpec spec)
 {
+    om_[spec.domain].merge(spec.supportedOps);
+    // sortedNames() matches the old std::set<std::string> iteration
+    // order, so cache keys survive the interned-op migration.
+    keyFragment_ += spec.name;
+    keyFragment_ += '@';
+    keyFragment_ += lang::toString(spec.domain);
+    keyFragment_ += '[';
+    for (const auto &op : spec.supportedOps.sortedNames()) {
+        keyFragment_ += op;
+        keyFragment_ += ',';
+    }
+    keyFragment_ += "][";
+    for (const auto &comp : spec.preferredComponents) {
+        keyFragment_ += comp.str();
+        keyFragment_ += ',';
+    }
+    keyFragment_ += "];";
     specs_.push_back(std::move(spec));
-    omValid_ = false;
 }
 
 const AcceleratorSpec *
@@ -75,18 +99,6 @@ AcceleratorRegistry::byName(const std::string &name) const
             return &spec;
     }
     return nullptr;
-}
-
-const std::map<Domain, ir::OpSet> &
-AcceleratorRegistry::supportedOpsByDomain() const
-{
-    if (!omValid_) {
-        om_.clear();
-        for (const auto &spec : specs_)
-            om_[spec.domain].merge(spec.supportedOps);
-        omValid_ = true;
-    }
-    return om_;
 }
 
 IrFragment

@@ -59,8 +59,11 @@ struct IrFragment
     /** Scalar-op work this fragment represents (from the srDFG node). */
     int64_t flops = 0;
 
-    /** Renders "opcode(in: a[..], out: b[..]) {attr=v}". */
+    /** Renders "opcode(a[..], b[..] -> c[..]) attr=v flops=n". */
     std::string str() const;
+
+    /** Appends str() to @p out. */
+    void appendTo(std::string &out) const;
 };
 
 /** πd: the accumulated accelerator program for one domain. */
@@ -112,7 +115,14 @@ struct AcceleratorSpec
     }
 };
 
-/** AccSpec of Algorithm 2: the accelerator chosen for each domain. */
+/**
+ * AccSpec of Algorithm 2: the accelerator chosen for each domain.
+ *
+ * Everything derived from the specs (Om and the cache-key fragment) is
+ * computed by add(), so a registry that is no longer added to is
+ * immutable and may be shared between threads without a lock; the
+ * standard one (target::standardRegistry) is built once per process.
+ */
 class AcceleratorRegistry
 {
   public:
@@ -130,16 +140,25 @@ class AcceleratorRegistry
     /** Spec by accelerator name; nullptr when absent. */
     const AcceleratorSpec *byName(const std::string &name) const;
 
-    /** The Om map of Algorithm 1: union of supported ops per domain.
-     *  Cached — rebuilt only after add(), not per compile. */
-    const std::map<Domain, ir::OpSet> &supportedOpsByDomain() const;
+    /** The Om map of Algorithm 1: union of supported ops per domain. */
+    const std::map<Domain, ir::OpSet> &supportedOpsByDomain() const
+    {
+        return om_;
+    }
+
+    /**
+     * The registry's field of a compile-cache key: each spec in
+     * registration order (the first per domain is the default) as
+     * "name@domain[sorted ops,][preferred components,];".
+     */
+    const std::string &cacheKeyFragment() const { return keyFragment_; }
 
     const std::vector<AcceleratorSpec> &specs() const { return specs_; }
 
   private:
     std::vector<AcceleratorSpec> specs_;
-    mutable std::map<Domain, ir::OpSet> om_;
-    mutable bool omValid_ = false;
+    std::map<Domain, ir::OpSet> om_;
+    std::string keyFragment_;
 };
 
 /** Builds the generic structural fragment for @p node (used when a spec

@@ -51,30 +51,48 @@ CompiledProgram::transferBytes() const
 }
 
 std::string
-CompiledProgram::str() const
+CompiledProgram::render() const
 {
     std::string out;
     for (const auto &[accel, prog] : programs) {
-        out += "program " + lang::toString(prog.domain) + " on " + accel +
-               " (" + std::to_string(prog.fragments.size()) +
-               " fragments)\n";
-        for (const auto &f : prog.fragments)
-            out += "  " + f.str() + "\n";
+        out += "program ";
+        out += lang::toString(prog.domain);
+        out += " on ";
+        out += accel;
+        out += " (";
+        out += std::to_string(prog.fragments.size());
+        out += " fragments)\n";
+        for (const auto &f : prog.fragments) {
+            out += "  ";
+            f.appendTo(out);
+            out += '\n';
+        }
     }
-    out += format("schedule: %zu partitions, %lld boundary bytes\n",
-                  partitions.size(),
-                  static_cast<long long>(transferBytes()));
+    out += "schedule: ";
+    out += std::to_string(partitions.size());
+    out += " partitions, ";
+    out += std::to_string(transferBytes());
+    out += " boundary bytes\n";
     for (size_t i = 0; i < partitions.size(); ++i) {
         const auto &p = partitions[i];
-        out += format("  [%zu] %s %s: %zu frags, load %lld B, store %lld B,"
-                      " deps:",
-                      i, lang::toString(p.domain).c_str(), p.accel.c_str(),
-                      p.fragments.size(),
-                      static_cast<long long>(p.loadBytes()),
-                      static_cast<long long>(p.storeBytes()));
-        for (int d : p.deps)
-            out += " " + std::to_string(d);
-        out += "\n";
+        out += "  [";
+        out += std::to_string(i);
+        out += "] ";
+        out += lang::toString(p.domain);
+        out += ' ';
+        out += p.accel;
+        out += ": ";
+        out += std::to_string(p.fragments.size());
+        out += " frags, load ";
+        out += std::to_string(p.loadBytes());
+        out += " B, store ";
+        out += std::to_string(p.storeBytes());
+        out += " B, deps:";
+        for (int d : p.deps) {
+            out += ' ';
+            out += std::to_string(d);
+        }
+        out += '\n';
     }
     return out;
 }
@@ -357,6 +375,7 @@ compileProgram(const Graph &graph, const AcceleratorRegistry &registry,
     compile_span.arg("partitions",
                      static_cast<int64_t>(out.partitions.size()));
     compile_span.arg("boundary_bytes", out.transferBytes());
+    out.text_ = out.render();
     return out;
 }
 

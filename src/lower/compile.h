@@ -55,22 +55,7 @@ struct Partition
     int64_t flops() const;
 };
 
-/** The compiled multi-accelerator program: πd1 ... πdn plus schedule. */
-struct CompiledProgram
-{
-    /** Accumulated accelerator programs πd, keyed by accelerator name
-     *  (domains normally map 1:1 to accelerators; finance splits DA). */
-    std::map<std::string, AccelProgram> programs;
-
-    /** Execution schedule for the SoC host manager. */
-    std::vector<Partition> partitions;
-
-    /** Total bytes moved across domain boundaries. */
-    int64_t transferBytes() const;
-
-    /** Renders the programs and schedule. */
-    std::string str() const;
-};
+struct CompiledProgram;
 
 /**
  * Algorithm 2 over a lowered top-level graph.
@@ -86,6 +71,41 @@ CompiledProgram compileProgram(const ir::Graph &graph,
                                const AcceleratorRegistry &registry,
                                Domain default_domain = Domain::None,
                                DiagnosticEngine *diag = nullptr);
+
+/**
+ * The compiled multi-accelerator program: πd1 ... πdn plus schedule.
+ *
+ * Immutable once compileProgram() returns it (the compile cache shares
+ * it as shared_ptr<const>), so its text rendering is produced once,
+ * there, and str() hands it out without re-rendering.
+ */
+struct CompiledProgram
+{
+    /** Accumulated accelerator programs πd, keyed by accelerator name
+     *  (domains normally map 1:1 to accelerators; finance splits DA). */
+    std::map<std::string, AccelProgram> programs;
+
+    /** Execution schedule for the SoC host manager. */
+    std::vector<Partition> partitions;
+
+    /** Total bytes moved across domain boundaries. */
+    int64_t transferBytes() const;
+
+    /** The programs and schedule as text, rendered when compileProgram()
+     *  built this program (a default-constructed one holds the empty
+     *  program's text). */
+    const std::string &str() const { return text_; }
+
+    /** Renders the programs and schedule afresh: what str() holds. */
+    std::string render() const;
+
+  private:
+    friend CompiledProgram compileProgram(const ir::Graph &,
+                                          const AcceleratorRegistry &,
+                                          Domain, DiagnosticEngine *);
+
+    std::string text_ = render();
+};
 
 } // namespace polymath::lower
 

@@ -19,7 +19,8 @@ compileCacheKey(const std::string &source, const ir::BuildOptions &opts,
     // Field separators use '\x1f' (unit separator) so that no field can
     // run into its neighbor and alias another key.
     std::string key;
-    key.reserve(source.size() + 256);
+    key.reserve(source.size() + registry.cacheKeyFragment().size() +
+                salt.size() + 128);
     key += "src\x1f";
     key += source;
     key += "\x1f""entry\x1f";
@@ -34,27 +35,7 @@ compileCacheKey(const std::string &source, const ir::BuildOptions &opts,
     key += "\x1f""domain\x1f";
     key += lang::toString(default_domain);
     key += "\x1f""registry\x1f";
-    // Registration order matters (first spec per domain is the default),
-    // so the key renders specs in order, each with its sorted op-set and
-    // preferred components.
-    for (const auto &spec : registry.specs()) {
-        key += spec.name;
-        key += '@';
-        key += lang::toString(spec.domain);
-        key += '[';
-        // sortedNames() matches the old std::set<std::string> iteration
-        // order, so cache keys survive the interned-op migration.
-        for (const auto &op : spec.supportedOps.sortedNames()) {
-            key += op;
-            key += ',';
-        }
-        key += "][";
-        for (const auto &comp : spec.preferredComponents) {
-            key += comp.str();
-            key += ',';
-        }
-        key += "];";
-    }
+    key += registry.cacheKeyFragment();
     if (!salt.empty()) {
         key += "\x1f""salt\x1f";
         key += salt;

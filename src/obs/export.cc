@@ -4,41 +4,22 @@
 #include <fstream>
 
 #include "core/error.h"
+#include "core/json.h"
 #include "core/strings.h"
 
 namespace polymath::obs {
 
 namespace {
 
-/** Minimal JSON string escaping (control chars, quote, backslash). */
-std::string
-escaped(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size() + 2);
-    for (const char c : text) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += format("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
 void
 appendEvent(std::string &out, const TraceEvent &ev)
 {
-    out += "{\"name\":\"" + escaped(ev.name) + "\"";
-    if (!ev.cat.empty())
-        out += ",\"cat\":\"" + escaped(ev.cat) + "\"";
+    out += "{\"name\":";
+    json::appendQuoted(out, ev.name);
+    if (!ev.cat.empty()) {
+        out += ",\"cat\":";
+        json::appendQuoted(out, ev.cat);
+    }
     out += ",\"ph\":\"";
     out += ev.ph;
     out += "\",\"pid\":" + std::to_string(ev.pid) +
@@ -53,16 +34,12 @@ appendEvent(std::string &out, const TraceEvent &ev)
         for (size_t i = 0; i < ev.args.size(); ++i) {
             const auto &arg = ev.args[i];
             out += (i ? "," : "");
-            out += '"';
-            out += escaped(arg.key);
-            out += "\":";
-            if (arg.numeric) {
+            json::appendQuoted(out, arg.key);
+            out += ':';
+            if (arg.numeric)
                 out += arg.value;
-            } else {
-                out += '"';
-                out += escaped(arg.value);
-                out += '"';
-            }
+            else
+                json::appendQuoted(out, arg.value);
         }
         out += "}";
     }

@@ -63,7 +63,7 @@ runRequest(const Request &req, lower::CompileCache &cache)
     const bool want_doc = profile || req.profileDoc;
 
     const auto domain = domainFromKeyword(req.target);
-    const auto registry = target::standardRegistry();
+    const auto &registry = target::standardRegistry();
     ir::BuildOptions build;
     build.entry = req.entry;
     build.paramConsts = req.params;
@@ -171,15 +171,17 @@ runRequest(const Request &req, lower::CompileCache &cache)
         }
     }
     if (want_doc) {
-        std::string doc = "{\"schema\":\"polymath-profile/1\"";
-        doc += ",\"file\":" + json::quote(req.file);
+        std::string doc = "{\"schema\":\"polymath-profile/1\",\"file\":";
+        json::appendQuoted(doc, req.file);
         doc += ",\"partitions\":[";
         for (size_t pi = 0; pi < sim.partitions.size(); ++pi) {
             if (pi)
-                doc += ",";
-            doc += target::profileJson(sim.partitions[pi]);
+                doc += ',';
+            target::appendProfileJson(doc, sim.partitions[pi]);
         }
-        doc += "],\"total\":" + target::profileJson(sim.total) + "}\n";
+        doc += "],\"total\":";
+        target::appendProfileJson(doc, sim.total);
+        doc += "}\n";
         result.profileJson = std::move(doc);
     }
     return result;

@@ -219,36 +219,45 @@ Request::fromJson(const std::string &line)
 std::string
 Response::json() const
 {
-    std::string doc = "{\"id\":" + std::to_string(id);
-    doc += ",\"ok\":";
-    doc += ok ? "true" : "false";
+    // One buffer sized for the payloads plus their escapes' growth.
+    const size_t payload = output.size() + error.size() +
+                           profileJson.size() + metricsJson.size();
+    std::string doc;
+    doc.reserve(payload + payload / 8 + 128 + 48 * stats.size());
+    auto field = [&doc](const char *name, const std::string &value) {
+        if (value.empty())
+            return;
+        doc += name;
+        json::appendQuoted(doc, value);
+    };
+    doc += "{\"id\":";
+    doc += std::to_string(id);
+    doc += ok ? ",\"ok\":true" : ",\"ok\":false";
     if (rejected)
         doc += ",\"rejected\":true";
-    doc += ",\"code\":" + std::to_string(code);
+    doc += ",\"code\":";
+    doc += std::to_string(code);
     if (cacheHit)
         doc += ",\"cacheHit\":true";
-    if (!requestId.empty())
-        doc += ",\"requestId\":" + json::quote(requestId);
-    if (!output.empty())
-        doc += ",\"output\":" + json::quote(output);
-    if (!error.empty())
-        doc += ",\"error\":" + json::quote(error);
-    if (!profileJson.empty())
-        doc += ",\"profileJson\":" + json::quote(profileJson);
-    if (!metricsJson.empty())
-        doc += ",\"metricsJson\":" + json::quote(metricsJson);
+    field(",\"requestId\":", requestId);
+    field(",\"output\":", output);
+    field(",\"error\":", error);
+    field(",\"profileJson\":", profileJson);
+    field(",\"metricsJson\":", metricsJson);
     if (!stats.empty()) {
         doc += ",\"stats\":{";
         bool first = true;
         for (const auto &[name, value] : stats) {
             if (!first)
-                doc += ",";
+                doc += ',';
             first = false;
-            doc += json::quote(name) + ":" + json::numberToJson(value);
+            json::appendQuoted(doc, name);
+            doc += ':';
+            json::appendNumber(doc, value);
         }
-        doc += "}";
+        doc += '}';
     }
-    doc += "}";
+    doc += '}';
     return doc;
 }
 

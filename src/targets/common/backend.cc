@@ -209,12 +209,15 @@ makeBackend(const std::string &name, MachineConfig config)
           "HyperStreams)");
 }
 
-lower::AcceleratorRegistry
+const lower::AcceleratorRegistry &
 standardRegistry()
 {
-    lower::AcceleratorRegistry registry;
-    for (const auto &backend : standardBackends())
-        registry.add(backend->spec());
+    static const lower::AcceleratorRegistry registry = [] {
+        lower::AcceleratorRegistry r;
+        for (const auto &backend : standardBackends())
+            r.add(backend->spec());
+        return r;
+    }();
     return registry;
 }
 

@@ -154,8 +154,9 @@ std::vector<std::unique_ptr<Backend>> standardBackends();
 std::unique_ptr<Backend> makeBackend(const std::string &name,
                                      MachineConfig config);
 
-/** AcceleratorRegistry assembled from standardBackends(). */
-lower::AcceleratorRegistry standardRegistry();
+/** AcceleratorRegistry assembled from standardBackends(), built once
+ *  per process on first use and immutable afterwards. */
+const lower::AcceleratorRegistry &standardRegistry();
 
 /** Finds a backend by name in @p backends; nullptr when absent. */
 const Backend *findBackend(

@@ -347,48 +347,65 @@ profileTable(const PerfReport &report, int top_n)
     return out;
 }
 
+void
+appendProfileJson(std::string &out, const PerfReport &report)
+{
+    const CostLedger *ledger = report.ledger.get();
+    out.reserve(out.size() + 320 +
+                (ledger ? 256 * ledger->entries.size() : 0));
+    auto number = [&out](const char *field, double value) {
+        out += field;
+        json::appendNumber(out, value);
+    };
+    out += "{\"schema\":\"polymath-profile/1\",\"machine\":";
+    json::appendQuoted(out, report.machine);
+    number(",\"report\":{\"seconds\":", report.seconds);
+    number(",\"joules\":", report.joules);
+    number(",\"computeSeconds\":", report.computeSeconds);
+    number(",\"memorySeconds\":", report.memorySeconds);
+    number(",\"overheadSeconds\":", report.overheadSeconds);
+    out += ",\"flops\":";
+    out += std::to_string(report.flops);
+    out += ",\"dramBytes\":";
+    out += std::to_string(report.dramBytes);
+    number(",\"utilization\":", report.utilization);
+    out += '}';
+    if (ledger) {
+        number(",\"roofline\":{\"peakFlops\":", ledger->peakFlops);
+        number(",\"dramGBs\":", ledger->dramGBs);
+        out += "},\"entries\":[";
+        for (size_t i = 0; i < ledger->entries.size(); ++i) {
+            const CostEntry &e = ledger->entries[i];
+            out += i ? ",{\"label\":" : "{\"label\":";
+            json::appendQuoted(out, e.label);
+            out += ",\"phase\":";
+            json::appendQuoted(out, e.phase);
+            out += ",\"fragment\":";
+            out += std::to_string(e.fragment);
+            if (ledger->partitionCount > 0) {
+                out += ",\"partition\":";
+                out += std::to_string(e.partition);
+            }
+            out += ",\"bound\":";
+            json::appendQuoted(out, toString(e.bound));
+            number(",\"seconds\":", e.seconds);
+            number(",\"joules\":", e.joules);
+            number(",\"dramBytes\":", e.dramBytes);
+            number(",\"flops\":", e.flops);
+            number(",\"touchedBytes\":", e.touchedBytes);
+            out += '}';
+        }
+        out += ']';
+    }
+    out += '}';
+}
+
 std::string
 profileJson(const PerfReport &report)
 {
-    std::string out = "{\"schema\":\"polymath-profile/1\"";
-    out += ",\"machine\":" + json::quote(report.machine);
-    out += ",\"report\":{";
-    out += "\"seconds\":" + json::numberToJson(report.seconds);
-    out += ",\"joules\":" + json::numberToJson(report.joules);
-    out += ",\"computeSeconds\":" + json::numberToJson(report.computeSeconds);
-    out += ",\"memorySeconds\":" + json::numberToJson(report.memorySeconds);
-    out +=
-        ",\"overheadSeconds\":" + json::numberToJson(report.overheadSeconds);
-    out += ",\"flops\":" + std::to_string(report.flops);
-    out += ",\"dramBytes\":" + std::to_string(report.dramBytes);
-    out += ",\"utilization\":" + json::numberToJson(report.utilization);
-    out += "}";
-    if (report.ledger) {
-        const CostLedger &ledger = *report.ledger;
-        out += ",\"roofline\":{\"peakFlops\":" +
-               json::numberToJson(ledger.peakFlops) +
-               ",\"dramGBs\":" + json::numberToJson(ledger.dramGBs) + "}";
-        out += ",\"entries\":[";
-        for (size_t i = 0; i < ledger.entries.size(); ++i) {
-            const CostEntry &e = ledger.entries[i];
-            if (i)
-                out += ",";
-            out += "{\"label\":" + json::quote(e.label);
-            out += ",\"phase\":" + json::quote(e.phase);
-            out += ",\"fragment\":" + std::to_string(e.fragment);
-            if (ledger.partitionCount > 0)
-                out += ",\"partition\":" + std::to_string(e.partition);
-            out += ",\"bound\":" + json::quote(toString(e.bound));
-            out += ",\"seconds\":" + json::numberToJson(e.seconds);
-            out += ",\"joules\":" + json::numberToJson(e.joules);
-            out += ",\"dramBytes\":" + json::numberToJson(e.dramBytes);
-            out += ",\"flops\":" + json::numberToJson(e.flops);
-            out += ",\"touchedBytes\":" + json::numberToJson(e.touchedBytes);
-            out += "}";
-        }
-        out += "]";
-    }
-    return out + "}";
+    std::string out;
+    appendProfileJson(out, report);
+    return out;
 }
 
 } // namespace polymath::target

@@ -185,6 +185,9 @@ std::string profileTable(const PerfReport &report, int top_n = 10);
  */
 std::string profileJson(const PerfReport &report);
 
+/** Appends profileJson(@p report) to @p out without temporaries. */
+void appendProfileJson(std::string &out, const PerfReport &report);
+
 } // namespace polymath::target
 
 #endif // POLYMATH_TARGETS_COMMON_COST_LEDGER_H_

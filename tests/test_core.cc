@@ -1,11 +1,16 @@
 /**
  * @file
- * Unit tests for the core utilities: DType, Shape, Tensor, Rng, strings.
+ * Unit tests for the core utilities: DType, Shape, Tensor, Rng, strings,
+ * and the JSON reader/writer (escaping, number emission, nesting bound).
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "core/dtype.h"
 #include "core/error.h"
+#include "core/json.h"
 #include "core/logging.h"
 #include "core/rng.h"
 #include "core/shape.h"
@@ -263,6 +268,136 @@ TEST(Errors, FatalCarriesLocation)
     } catch (const UserError &e) {
         EXPECT_EQ(e.loc().line, 2);
         EXPECT_NE(std::string(e.what()).find("2:5"), std::string::npos);
+    }
+}
+
+/** The byte-at-a-time escaper json::quote was before it copied
+ *  unescaped runs in bulk; the oracle for json::quote/appendQuoted. */
+std::string
+quotePerByte(const std::string &s)
+{
+    std::string out = "\"";
+    for (char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; continue;
+          case '\\': out += "\\\\"; continue;
+          case '\n': out += "\\n"; continue;
+          case '\t': out += "\\t"; continue;
+          case '\r': out += "\\r"; continue;
+          default: break;
+        }
+        const auto uc = static_cast<unsigned char>(c);
+        if (uc < 0x20) {
+            static const char hex[] = "0123456789abcdef";
+            out += "\\u00";
+            out += hex[uc >> 4];
+            out += hex[uc & 0xf];
+            continue;
+        }
+        out += c;
+    }
+    return out + "\"";
+}
+
+/** Every byte value once, in order. */
+std::string
+allBytes()
+{
+    std::string all;
+    for (int b = 0; b < 256; ++b)
+        all += static_cast<char>(b);
+    return all;
+}
+
+TEST(Json, QuoteMatchesThePerByteEscaperOnEveryByte)
+{
+    for (int b = 0; b < 256; ++b) {
+        const std::string one(1, static_cast<char>(b));
+        EXPECT_EQ(json::quote(one), quotePerByte(one)) << "byte " << b;
+    }
+    const std::string all = allBytes();
+    // Escapes at the ends and back to back, between pass-through runs.
+    const std::string mixed = "\"ab\\\\c\n\x01" "d" + all + "tail\t";
+    for (const std::string &s : {std::string(), all, mixed}) {
+        EXPECT_EQ(json::quote(s), quotePerByte(s));
+        std::string appended = "prefix:";
+        json::appendQuoted(appended, s);
+        EXPECT_EQ(appended, "prefix:" + quotePerByte(s));
+    }
+}
+
+TEST(Json, QuotedStringsParseBackAndHoldNoNewline)
+{
+    const std::string all = allBytes();
+    for (const std::string &s : {std::string(), std::string("\0", 1), all,
+                                  "x\ny\"z\\" + all + all}) {
+        const std::string quoted = json::quote(s);
+        EXPECT_EQ(json::parse(quoted).str(), s);
+        EXPECT_EQ(quoted.find('\n'), std::string::npos);
+    }
+}
+
+TEST(Json, AppendNumberMatchesNumberToJson)
+{
+    using limits = std::numeric_limits<double>;
+    const std::pair<double, const char *> pinned[] = {
+        {0.0, "0"},
+        {-0.0, "-0"},
+        {1.5, "1.5"},
+        {limits::quiet_NaN(), "\"nan\""},
+        {limits::infinity(), "\"inf\""},
+        {-limits::infinity(), "\"-inf\""},
+        {limits::denorm_min(), "5e-324"},
+        {-limits::denorm_min(), "-5e-324"},
+        {limits::min(), "2.2250738585072014e-308"},
+        {limits::max(), "1.7976931348623157e+308"},
+        {limits::lowest(), "-1.7976931348623157e+308"},
+        {limits::epsilon(), "2.220446049250313e-16"},
+        {0.1, "0.1"},
+        {1e21, "1e+21"},
+    };
+    for (const auto &[value, text] : pinned) {
+        EXPECT_EQ(json::numberToJson(value), text);
+        std::string out = "x";
+        json::appendNumber(out, value);
+        EXPECT_EQ(out, std::string("x") + text);
+        const double back = json::numberFromJson(json::parse(text));
+        if (std::isnan(value)) {
+            EXPECT_TRUE(std::isnan(back));
+        } else {
+            EXPECT_EQ(back, value);
+            EXPECT_EQ(std::signbit(back), std::signbit(value));
+        }
+    }
+}
+
+TEST(Json, NestingDepthIsBounded)
+{
+    const auto nested = [](int times, const char *open, const char *close) {
+        std::string s;
+        for (int i = 0; i < times; ++i)
+            s += open;
+        for (int i = 0; i < times; ++i)
+            s += close;
+        return s;
+    };
+    // Arrays and objects count alike; each "{"a":[" opens two levels.
+    const int max = json::kMaxDepth;
+    EXPECT_NO_THROW(json::parse(nested(max, "[", "]")));
+    EXPECT_NO_THROW(json::parse(nested(max / 2, "{\"a\":[", "]}")));
+    EXPECT_THROW(json::parse(nested(max + 1, "[", "]")), UserError);
+    EXPECT_THROW(json::parse(nested(max / 2 + 1, "{\"a\":[", "]}")),
+                 UserError);
+    // One hostile line of brackets: a positioned error, not a stack
+    // overflow. The level past the bound opens at offset kMaxDepth.
+    try {
+        json::parse(std::string(2000000, '['));
+        FAIL() << "expected UserError";
+    } catch (const UserError &e) {
+        EXPECT_NE(std::string(e.what()).find("at offset " +
+                                             std::to_string(max)),
+                  std::string::npos)
+            << e.what();
     }
 }
 

@@ -3,12 +3,14 @@
  * Algorithm 1/2 tests: component splicing, granularity-targeted lowering
  * against per-domain Ot sets, compile failure on unsupported ops,
  * translation to fragments, boundary load/store insertion, partitioning,
- * and multi-accelerator domain splitting.
+ * multi-accelerator domain splitting, the registry's precomputed Om and
+ * cache-key fragment, and the program text rendered once per compile.
  */
 #include <gtest/gtest.h>
 
 #include "interp/interpreter.h"
 #include "lower/compile.h"
+#include "lower/compile_cache.h"
 #include "lower/lower.h"
 #include "srdfg/builder.h"
 #include "srdfg/traversal.h"
@@ -262,6 +264,113 @@ TEST(Compile, ProgramRenderingIsStable)
     EXPECT_NE(text.find("DECO"), std::string::npos);
     EXPECT_NE(text.find("tload"), std::string::npos);
     EXPECT_NE(text.find("tstore"), std::string::npos);
+}
+
+TEST(Compile, RenderingIsMadeOnceAndMatchesAFreshRender)
+{
+    const auto registry = target::standardRegistry();
+    auto check = [&](const std::string &source,
+                     const ir::BuildOptions &opts, Domain domain) {
+        const auto compiled =
+            wl::compileBenchmark(source, opts, registry, domain);
+        EXPECT_EQ(compiled.str(), compiled.render());
+        const lower::CompiledProgram copy = compiled;
+        EXPECT_EQ(copy.str(), compiled.render());
+    };
+    for (const auto &bench : wl::tableIII())
+        check(bench.source, bench.buildOpts, bench.domain);
+    for (const auto &app : wl::tableIV())
+        check(app.source, app.buildOpts, Domain::None);
+    EXPECT_EQ(lower::CompiledProgram{}.str(),
+              "schedule: 0 partitions, 0 boundary bytes\n");
+}
+
+// --- Registry and cache key --------------------------------------------------
+
+/** The registry field of a cache key as compileCacheKey rendered it on
+ *  every call before add() precomputed it: the oracle for its bytes. */
+std::string
+registryFieldPerCall(const AcceleratorRegistry &registry)
+{
+    std::string key;
+    for (const auto &spec : registry.specs()) {
+        key += spec.name;
+        key += '@';
+        key += lang::toString(spec.domain);
+        key += '[';
+        for (const auto &op : spec.supportedOps.sortedNames()) {
+            key += op;
+            key += ',';
+        }
+        key += "][";
+        for (const auto &comp : spec.preferredComponents) {
+            key += comp.str();
+            key += ',';
+        }
+        key += "];";
+    }
+    return key;
+}
+
+TEST(CompileCacheKey, BytesMatchThePerCallRendering)
+{
+    const auto registry = target::standardRegistry();
+    for (const auto &bench : wl::tableIII()) {
+        std::string expected = "src\x1f" + bench.source + "\x1f""entry\x1f" +
+                               bench.buildOpts.entry + "\x1f""params\x1f";
+        for (const auto &[name, value] : bench.buildOpts.paramConsts)
+            expected += name + "=" + std::to_string(value) + ";";
+        expected += "\x1f""domain\x1f" + lang::toString(bench.domain) +
+                    "\x1f""registry\x1f" + registryFieldPerCall(registry);
+        EXPECT_EQ(lower::compileCacheKey(bench.source, bench.buildOpts,
+                                         bench.domain, registry),
+                  expected)
+            << bench.id;
+        EXPECT_EQ(lower::compileCacheKey(bench.source, bench.buildOpts,
+                                         bench.domain, registry,
+                                         "optimize=1"),
+                  expected + "\x1f""salt\x1f""optimize=1")
+            << bench.id;
+    }
+}
+
+TEST(Registry, CopiedAndRebuiltRegistriesAgreeOnOmAndKey)
+{
+    const AcceleratorRegistry &standard = target::standardRegistry();
+    EXPECT_EQ(&standard, &target::standardRegistry()); // built once
+
+    // Om recomputed here as the union of supported ops per domain.
+    std::map<Domain, ir::OpSet> om;
+    for (const auto &spec : standard.specs())
+        om[spec.domain].merge(spec.supportedOps);
+
+    const AcceleratorRegistry copy = standard;
+    AcceleratorRegistry rebuilt;
+    for (const auto &spec : standard.specs())
+        rebuilt.add(spec);
+    const AcceleratorRegistry *const registries[] = {&standard, &copy,
+                                                     &rebuilt};
+    for (const AcceleratorRegistry *r : registries) {
+        EXPECT_EQ(r->cacheKeyFragment(), registryFieldPerCall(standard));
+        const auto &got = r->supportedOpsByDomain();
+        ASSERT_EQ(got.size(), om.size());
+        for (const auto &[domain, ops] : om) {
+            ASSERT_EQ(got.count(domain), 1u);
+            EXPECT_EQ(got.at(domain).sortedNames(), ops.sortedNames());
+        }
+    }
+
+    // A registry grown by add() extends both in step.
+    AcceleratorRegistry grown;
+    AcceleratorSpec extra;
+    extra.name = "Extra";
+    extra.domain = Domain::DSP;
+    extra.supportedOps.insert("@extra_op");
+    extra.preferredComponents.insert(ir::Op::intern("@extra_op"));
+    grown.add(extra);
+    EXPECT_EQ(grown.cacheKeyFragment(), registryFieldPerCall(grown));
+    EXPECT_TRUE(grown.supportedOpsByDomain().at(Domain::DSP).contains(
+        ir::Op::intern("@extra_op")));
 }
 
 } // namespace

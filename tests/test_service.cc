@@ -5,8 +5,10 @@
  * server responses byte-identical to direct execution, structured errors
  * for malformed request lines, round-robin fairness across client
  * connections, admission-control accounting (completed + rejected ==
- * offered), drain-before-shutdown, the failed-compile eviction race
- * regression, and the LRU bound (in-flight entries never dropped).
+ * offered), drain-before-shutdown, a hostile deeply nested line, hits
+ * from several threads matching a serial run byte for byte, the
+ * failed-compile eviction race regression, and the LRU bound (in-flight
+ * entries never dropped).
  *
  * tools/check.sh runs this binary under ThreadSanitizer as well: the
  * server's reader threads, pool workers, and shutdown path all race
@@ -149,6 +151,14 @@ TEST(ServiceProtocol, ResponseRoundTripsThroughJson)
 
     const std::string line = resp.json();
     EXPECT_EQ(line.find('\n'), std::string::npos);
+    // The wire bytes, field order included.
+    EXPECT_EQ(line,
+              R"({"id":7,"ok":true,"code":0,"cacheHit":true,)"
+              R"("requestId":"r17","output":"line one\nline two\ttab\n",)"
+              R"("error":"warn: \"quoted\"\n",)"
+              R"("profileJson":"{\"schema\":\"polymath-profile/1\"}\n",)"
+              R"("metricsJson":"{\"counters\":{}}",)"
+              R"("stats":{"cacheHitRate":0.5,"offered":12}})");
     const auto back = service::Response::fromJson(line);
     EXPECT_EQ(back.id, resp.id);
     EXPECT_EQ(back.ok, resp.ok);
@@ -169,6 +179,13 @@ TEST(ServiceProtocol, ResponseRoundTripsThroughJson)
     plain.ok = true;
     EXPECT_EQ(plain.json().find("requestId"), std::string::npos);
     EXPECT_EQ(plain.json().find("metricsJson"), std::string::npos);
+
+    service::Response rejected;
+    rejected.id = 3;
+    rejected.rejected = true;
+    rejected.code = 3;
+    EXPECT_EQ(rejected.json(),
+              R"({"id":3,"ok":false,"rejected":true,"code":3})");
 }
 
 TEST(ServiceProtocol, RejectsBadRequests)
@@ -287,6 +304,42 @@ TEST(ServiceServer, MalformedLinesGetStructuredErrors)
     EXPECT_TRUE(after.ok);
 
     server.requestStop();
+    server.wait();
+}
+
+TEST(ServiceServer, DeeplyNestedLineGetsStructuredError)
+{
+    lower::CompileCache cache;
+    service::ServerConfig config;
+    config.socketPath = testSocket("nesting");
+    config.jobs = 1;
+    config.cache = &cache;
+    service::Server server(config);
+    server.start();
+
+    // One line of 2,000,000 '[': the recursive JSON parser used to
+    // overflow the reader thread's stack and kill the daemon.
+    service::Client client(config.socketPath);
+    ASSERT_TRUE(
+        core::writeAll(client.fd(), std::string(2000000, '[') + "\n"));
+    service::Response resp;
+    ASSERT_TRUE(client.recv(resp));
+    EXPECT_FALSE(resp.ok);
+    EXPECT_EQ(resp.code, 2);
+    EXPECT_NE(resp.error.find("nesting deeper than"), std::string::npos)
+        << resp.error;
+
+    // The daemon keeps serving, and its books still balance.
+    const auto good = client.call(compileRequest(tinySource(0), 1));
+    EXPECT_TRUE(good.ok) << good.error;
+    service::Request shutdown_req;
+    shutdown_req.verb = service::Verb::Shutdown;
+    const auto bye = client.call(shutdown_req);
+    EXPECT_TRUE(bye.ok);
+    EXPECT_DOUBLE_EQ(bye.stats.at("malformed"), 1.0);
+    EXPECT_DOUBLE_EQ(bye.stats.at("offered"), 1.0);
+    EXPECT_DOUBLE_EQ(bye.stats.at("completed") + bye.stats.at("rejected"),
+                     bye.stats.at("offered"));
     server.wait();
 }
 
@@ -438,6 +491,66 @@ TEST(ServiceServer, ShutdownDrainsQueuedWorkFirst)
     server.wait();
     // Fully stopped: the socket is gone, new connections fail.
     EXPECT_THROW(service::Client{config.socketPath}, UserError);
+}
+
+// ---------------------------------------------------------------------
+// Shared hit-path state under concurrency
+
+TEST(ServiceExec, ConcurrentHitsMatchASerialRun)
+{
+    // Simulate and profile hits from four threads on one cache share
+    // the process-wide registry and each cached program's rendering
+    // (tools/check.sh runs this under ThreadSanitizer). Every reply must
+    // carry exactly the bytes a serial run produced.
+    lower::CompileCache cache;
+    std::vector<service::Request> requests;
+    for (int k = 0; k < 3; ++k) {
+        auto simulate = compileRequest(tinySource(k), 2 * k);
+        simulate.verb = service::Verb::Simulate;
+        simulate.invocations = 10;
+        requests.push_back(simulate);
+        auto profile = compileRequest(tinySource(k), 2 * k + 1);
+        profile.verb = service::Verb::Profile;
+        profile.profileDoc = true;
+        requests.push_back(profile);
+    }
+    for (const auto &req : requests) // warm: every later call is a hit
+        ASSERT_TRUE(service::runRequestGuarded(req, cache).ok);
+    std::vector<std::string> serial;
+    for (const auto &req : requests) {
+        const auto resp = service::runRequestGuarded(req, cache);
+        ASSERT_TRUE(resp.cacheHit);
+        serial.push_back(resp.json());
+    }
+
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 3;
+    std::vector<std::vector<std::string>> replies(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int round = 0; round < kRounds; ++round) {
+                for (size_t i = 0; i < requests.size(); ++i) {
+                    // Each thread walks the requests from its own offset.
+                    const auto &req =
+                        requests[(i + static_cast<size_t>(t)) %
+                                 requests.size()];
+                    replies[t].push_back(
+                        service::runRequestGuarded(req, cache).json());
+                }
+            }
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    for (int t = 0; t < kThreads; ++t) {
+        ASSERT_EQ(replies[t].size(), kRounds * requests.size());
+        for (size_t j = 0; j < replies[t].size(); ++j) {
+            const size_t i = (j % requests.size() + static_cast<size_t>(t)) %
+                             requests.size();
+            EXPECT_EQ(replies[t][j], serial[i]) << "thread " << t;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

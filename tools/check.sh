@@ -206,6 +206,23 @@ assert d["recorded"] >= 1, d
 assert all(r["id"] for r in d["records"]), d
 assert any(r["trace"] for r in d["records"]), "no retained trace"
 '
+        # Hostile input: one line of 2,000,000 '[' must get a structured
+        # protocol error, not a crashed daemon (the JSON parser bounds
+        # its nesting depth).
+        python3 - "$tele_sock" <<'EOF'
+import json, socket, sys
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.connect(sys.argv[1])
+s.sendall(b"[" * 2000000 + b"\n")
+reply = b""
+while not reply.endswith(b"\n"):
+    chunk = s.recv(65536)
+    assert chunk, "pmcd closed the connection"
+    reply += chunk
+r = json.loads(reply)
+assert r["ok"] is False and r["code"] == 2, r
+assert "nesting deeper than" in r["error"], r
+EOF
         build/tools/pmcd --socket "$tele_sock" --shutdown 2>&1 \
             | python3 -c '
 import sys
@@ -215,6 +232,7 @@ for line in sys.stdin:
     if len(parts) == 3 and parts[0] == "pmcd:":
         stats[parts[1]] = float(parts[2])
 assert stats["offered"] == stats["completed"] + stats["rejected"], stats
+assert stats["malformed"] >= 1, stats
 '
         wait "$tele_pid"
         rm -f "$tele_sock" "$tele_log"

@@ -147,7 +147,7 @@ main(int argc, char **argv)
 {
     try {
         const Options opts = parseArgs(argc, argv);
-        const auto registry = target::standardRegistry();
+        const auto &registry = target::standardRegistry();
 
         // Resolve the workload list up front so a typo fails before any
         // compilation (benchmarkById throws UserError on unknown ids).
