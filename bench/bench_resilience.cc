@@ -31,17 +31,6 @@ using namespace polymath;
 
 namespace {
 
-soc::FaultConfig
-configFor(double rate, uint64_t seed)
-{
-    soc::FaultConfig fc;
-    fc.seed = seed;
-    fc.dmaFailureRate = rate;
-    fc.watchdogRate = rate / 2.0;
-    fc.accelUnavailableRate = rate / 5.0;
-    return fc;
-}
-
 /** Distinct deterministic fault stream per workload: the draws are keyed
  *  by (partition, class, attempt), so without a per-workload salt every
  *  single-partition Table III workload would fault in lockstep. */
@@ -93,7 +82,7 @@ main(int argc, char **argv)
             const std::map<std::string, double> host_eff{
                 {bench.accel, bench.cpuEff}};
             runtime.setFaultModel(soc::FaultModel(
-                configFor(rate, workloadSeed(kSeed, i))));
+                soc::FaultConfig::atRate(rate, workloadSeed(kSeed, i))));
             const auto r = runtime.execute(*workloads[i].program,
                                            bench.profile, {}, host_eff);
             log_slowdown += std::log(rate > 0 ? r.reliability.slowdown()

@@ -325,14 +325,6 @@ appendNumber(std::string &out, double value)
     out.append(buf, ptr);
 }
 
-std::string
-numberToJson(double value)
-{
-    std::string out;
-    appendNumber(out, value);
-    return out;
-}
-
 double
 numberFromJson(const Value &v)
 {

@@ -11,22 +11,20 @@ namespace polymath::dse {
 
 namespace {
 
-std::string
-pointJson(const DsePoint &p)
+void
+writePoint(json::Writer &w, const DsePoint &p)
 {
-    std::string doc = "{\"index\":" + std::to_string(p.index);
-    doc += ",\"label\":" + json::quote(p.label);
-    doc += ",\"seconds\":" + json::numberToJson(p.seconds);
-    doc += ",\"joules\":" + json::numberToJson(p.joules);
-    doc += ",\"perfPerWatt\":" + json::numberToJson(p.perfPerWatt);
-    doc += ",\"computeSeconds\":" + json::numberToJson(p.computeSeconds);
-    doc += ",\"dmaSeconds\":" + json::numberToJson(p.dmaSeconds);
-    doc +=
-        ",\"overheadSeconds\":" + json::numberToJson(p.overheadSeconds);
-    doc += ",\"dominantPhase\":" + json::quote(p.dominantPhase);
-    doc += ",\"topCost\":" + json::quote(p.topCost);
-    doc += "}";
-    return doc;
+    w.beginObject().field("index", p.index);
+    w.field("label", p.label);
+    w.field("seconds", p.seconds);
+    w.field("joules", p.joules);
+    w.field("perfPerWatt", p.perfPerWatt);
+    w.field("computeSeconds", p.computeSeconds);
+    w.field("dmaSeconds", p.dmaSeconds);
+    w.field("overheadSeconds", p.overheadSeconds);
+    w.field("dominantPhase", p.dominantPhase);
+    w.field("topCost", p.topCost);
+    w.endObject();
 }
 
 DsePoint
@@ -84,41 +82,34 @@ toStudy(const WorkloadStudy &study)
 std::string
 DseArtifact::json() const
 {
-    std::string doc = "{\"schema\":";
-    doc += json::quote(kSchema);
-    doc += ",\"name\":" + json::quote(name);
-    doc += ",\"git\":" + json::quote(git);
-    doc += ",\"config\":" + json::quote(config);
-    doc += ",\"space\":" + json::quote(space);
-    doc += ",\"search\":" + json::quote(search);
+    std::string doc;
+    json::Writer w(doc);
+    w.beginObject().field("schema", kSchema);
+    w.field("name", name);
+    w.field("git", git);
+    w.field("config", config);
+    w.field("space", space);
+    w.field("search", search);
     // Seeds are full uint64s; same decimal-string convention as the
     // service protocol.
-    doc += ",\"seed\":" + json::quote(std::to_string(seed));
-    doc += ",\"samples\":" + std::to_string(samples);
-    doc += ",\"rounds\":" + std::to_string(rounds);
-    doc += ",\"workloads\":[";
-    bool first_study = true;
+    w.field("seed", std::to_string(seed));
+    w.field("samples", samples);
+    w.field("rounds", rounds);
+    w.key("workloads").beginArray();
     for (const auto &study : workloads) {
-        if (!first_study)
-            doc += ",";
-        first_study = false;
-        doc += "{\"id\":" + json::quote(study.id);
-        doc += ",\"backend\":" + json::quote(study.backend);
-        doc += ",\"spaceSize\":" + std::to_string(study.spaceSize);
-        doc += ",\"evaluated\":" + std::to_string(study.evaluated);
-        doc += ",\"baseline\":" + pointJson(study.baseline);
-        doc += ",\"best\":" + pointJson(study.best);
-        doc += ",\"front\":[";
-        bool first_point = true;
-        for (const auto &point : study.front) {
-            if (!first_point)
-                doc += ",";
-            first_point = false;
-            doc += pointJson(point);
-        }
-        doc += "]}";
+        w.beginObject().field("id", study.id);
+        w.field("backend", study.backend);
+        w.field("spaceSize", study.spaceSize);
+        w.field("evaluated", study.evaluated);
+        writePoint(w.key("baseline"), study.baseline);
+        writePoint(w.key("best"), study.best);
+        w.key("front").beginArray();
+        for (const auto &point : study.front)
+            writePoint(w, point);
+        w.endArray().endObject();
     }
-    doc += "]}\n";
+    w.endArray().endObject();
+    doc += '\n';
     return doc;
 }
 

@@ -182,8 +182,8 @@ ConfigSpace::label(int64_t index) const
             text += ' ';
         text += axes_[a].name;
         text += 'x';
-        text += json::numberToJson(
-            axes_[a].scales[static_cast<size_t>(digits[a])]);
+        json::appendNumber(
+            text, axes_[a].scales[static_cast<size_t>(digits[a])]);
     }
     return text;
 }

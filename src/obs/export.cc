@@ -5,78 +5,68 @@
 
 #include "core/error.h"
 #include "core/json.h"
-#include "core/strings.h"
 
 namespace polymath::obs {
 
 namespace {
 
+/** Metadata event naming timeline @p pid in trace viewers. */
 void
-appendEvent(std::string &out, const TraceEvent &ev)
+writeProcessName(json::Writer &w, int pid, const char *name)
 {
-    out += "{\"name\":";
-    json::appendQuoted(out, ev.name);
-    if (!ev.cat.empty()) {
-        out += ",\"cat\":";
-        json::appendQuoted(out, ev.cat);
-    }
-    out += ",\"ph\":\"";
-    out += ev.ph;
-    out += "\",\"pid\":" + std::to_string(ev.pid) +
-           ",\"tid\":" + std::to_string(ev.tid) +
-           ",\"ts\":" + std::to_string(ev.ts);
-    if (ev.ph == 'X')
-        out += ",\"dur\":" + std::to_string(ev.dur);
-    if (ev.ph == 'i')
-        out += ",\"s\":\"t\""; // instant scope: thread
-    if (!ev.args.empty()) {
-        out += ",\"args\":{";
-        for (size_t i = 0; i < ev.args.size(); ++i) {
-            const auto &arg = ev.args[i];
-            out += (i ? "," : "");
-            json::appendQuoted(out, arg.key);
-            out += ':';
-            if (arg.numeric)
-                out += arg.value;
-            else
-                json::appendQuoted(out, arg.value);
-        }
-        out += "}";
-    }
-    out += "}";
-}
-
-void
-appendProcessName(std::string &out, int pid, const char *name)
-{
-    out += format("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,"
-                  "\"tid\":0,\"args\":{\"name\":\"%s\"}}",
-                  pid, name);
+    w.beginObject().field("name", "process_name");
+    w.field("ph", "M");
+    w.field("pid", pid);
+    w.field("tid", 0);
+    w.key("args").beginObject();
+    w.field("name", name);
+    w.endObject().endObject();
 }
 
 } // namespace
 
-std::string
-traceEventJson(const TraceEvent &event)
+void
+writeTraceEvent(json::Writer &w, const TraceEvent &event)
 {
-    std::string out;
-    appendEvent(out, event);
-    return out;
+    w.beginObject().field("name", event.name);
+    if (!event.cat.empty())
+        w.field("cat", event.cat);
+    w.field("ph", std::string_view(&event.ph, 1));
+    w.field("pid", event.pid);
+    w.field("tid", event.tid);
+    w.field("ts", event.ts);
+    if (event.ph == 'X')
+        w.field("dur", event.dur);
+    if (event.ph == 'i')
+        w.field("s", "t"); // instant scope: thread
+    if (!event.args.empty()) {
+        w.key("args").beginObject();
+        for (const auto &arg : event.args) {
+            w.key(arg.key);
+            if (arg.numeric)
+                w.raw(arg.value);
+            else
+                w.value(arg.value);
+        }
+        w.endObject();
+    }
+    w.endObject();
 }
 
 std::string
 chromeTraceJson(const TraceRecorder &recorder)
 {
     const auto events = recorder.snapshot();
-    std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-    appendProcessName(out, kRealPid, "polymath (wall clock)");
-    out += ",";
-    appendProcessName(out, kVirtualPid, "polymath SoC (virtual time)");
-    for (const auto &ev : events) {
-        out += ",\n";
-        appendEvent(out, ev);
-    }
-    out += "]}\n";
+    std::string out;
+    json::Writer w(out);
+    w.beginObject().field("displayTimeUnit", "ms");
+    w.key("traceEvents").beginArray();
+    writeProcessName(w, kRealPid, "polymath (wall clock)");
+    writeProcessName(w, kVirtualPid, "polymath SoC (virtual time)");
+    for (const auto &event : events)
+        writeTraceEvent(w.lineBreak(), event);
+    w.endArray().endObject();
+    out += '\n';
     return out;
 }
 

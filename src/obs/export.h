@@ -14,6 +14,7 @@
 
 #include <string>
 
+#include "core/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -22,9 +23,9 @@ namespace polymath::obs {
 /** Renders the recorded events as a Chrome-trace JSON document. */
 std::string chromeTraceJson(const TraceRecorder &recorder);
 
-/** Renders one event as a Chrome-trace JSON object (used both by
+/** Writes one event as a Chrome-trace JSON object (used both by
  *  chromeTraceJson and by flight-recorder dumps). */
-std::string traceEventJson(const TraceEvent &event);
+void writeTraceEvent(json::Writer &w, const TraceEvent &event);
 
 /** Writes chromeTraceJson() to @p path. @throws UserError on I/O error. */
 void writeChromeTrace(const TraceRecorder &recorder,

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 
+#include "core/json.h"
 #include "core/strings.h"
 
 namespace polymath::obs {
@@ -240,75 +241,39 @@ MetricsSnapshot::str() const
 std::string
 MetricsSnapshot::json() const
 {
-    // Metric names are [A-Za-z0-9._-] by convention, so no escaping is
-    // needed; keep it that way when adding instruments.
-    std::string out = "{\"counters\":{";
-    bool first = true;
-    for (const auto &[name, value] : counters) {
-        out += first ? "" : ",";
-        out += '"';
-        out += name;
-        out += "\":";
-        out += std::to_string(value);
-        first = false;
-    }
-    out += "},\"gauges\":{";
-    first = true;
-    for (const auto &[name, value] : gauges) {
-        out += first ? "" : ",";
-        out += '"';
-        out += name;
-        out += "\":";
-        out += doubleText(value);
-        first = false;
-    }
-    out += "},\"histograms\":{";
-    first = true;
+    // Doubles keep the 17-significant-digit doubleText rendering of the
+    // text dump rather than the writer's shortest round-trip form.
+    std::string out;
+    json::Writer w(out);
+    w.beginObject().key("counters").beginObject();
+    for (const auto &[name, value] : counters)
+        w.key(name).value(value);
+    w.endObject().key("gauges").beginObject();
+    for (const auto &[name, value] : gauges)
+        w.key(name).raw(doubleText(value));
+    w.endObject().key("histograms").beginObject();
     for (const auto &[name, h] : histograms) {
-        out += first ? "" : ",";
-        out += '"';
-        out += name;
-        out += "\":{\"count\":";
-        out += std::to_string(h.count);
-        out += ",\"sum\":";
-        out += std::to_string(h.sum);
-        out += ",\"min\":";
-        out += std::to_string(h.min);
-        out += ",\"max\":";
-        out += std::to_string(h.max);
-        out += ",\"mean\":";
-        out += doubleText(h.mean());
-        out += ",\"underflow\":";
-        out += std::to_string(h.underflow);
-        out += '}';
-        first = false;
+        w.key(name).beginObject();
+        w.field("count", h.count);
+        w.field("sum", h.sum);
+        w.field("min", h.min);
+        w.field("max", h.max);
+        w.key("mean").raw(doubleText(h.mean()));
+        w.field("underflow", h.underflow).endObject();
     }
-    out += "},\"latencies\":{";
-    first = true;
+    w.endObject().key("latencies").beginObject();
     for (const auto &[name, l] : latencies) {
-        out += first ? "" : ",";
-        out += '"';
-        out += name;
-        out += "\":{\"count\":";
-        out += std::to_string(l.count);
-        out += ",\"sum\":";
-        out += std::to_string(l.sum);
-        out += ",\"min\":";
-        out += std::to_string(l.min);
-        out += ",\"max\":";
-        out += std::to_string(l.max);
-        out += ",\"underflow\":";
-        out += std::to_string(l.underflow);
-        out += ",\"p50\":";
-        out += doubleText(l.p50);
-        out += ",\"p99\":";
-        out += doubleText(l.p99);
-        out += ",\"p999\":";
-        out += doubleText(l.p999);
-        out += '}';
-        first = false;
+        w.key(name).beginObject();
+        w.field("count", l.count);
+        w.field("sum", l.sum);
+        w.field("min", l.min);
+        w.field("max", l.max);
+        w.field("underflow", l.underflow);
+        w.key("p50").raw(doubleText(l.p50));
+        w.key("p99").raw(doubleText(l.p99));
+        w.key("p999").raw(doubleText(l.p999)).endObject();
     }
-    out += "}}";
+    w.endObject().endObject();
     return out;
 }
 

@@ -8,23 +8,23 @@ namespace polymath::obs {
 std::string
 RequestRecord::json() const
 {
-    std::string out = "{\"id\":" + json::quote(requestId);
-    out += ",\"verb\":" + json::quote(verb);
-    out += ",\"backends\":" + json::quote(backends);
-    out += ",\"exit\":" + std::to_string(exitCode);
-    out += ",\"cache_hits\":" + std::to_string(cacheHits);
-    out += ",\"cache_misses\":" + std::to_string(cacheMisses);
-    out += ",\"queue_wait_us\":" + std::to_string(queueWaitMicros);
-    out += ",\"execute_us\":" + std::to_string(executeMicros);
-    out += ",\"bytes_in\":" + std::to_string(bytesIn);
-    out += ",\"bytes_out\":" + std::to_string(bytesOut);
-    out += ",\"finished_at_us\":" + std::to_string(finishedAtMicros);
-    out += ",\"trace\":[";
-    for (size_t i = 0; i < trace.size(); ++i) {
-        out += i ? "," : "";
-        out += traceEventJson(trace[i]);
-    }
-    out += "]}";
+    std::string out;
+    json::Writer w(out);
+    w.beginObject().field("id", requestId);
+    w.field("verb", verb);
+    w.field("backends", backends);
+    w.field("exit", exitCode);
+    w.field("cache_hits", cacheHits);
+    w.field("cache_misses", cacheMisses);
+    w.field("queue_wait_us", queueWaitMicros);
+    w.field("execute_us", executeMicros);
+    w.field("bytes_in", bytesIn);
+    w.field("bytes_out", bytesOut);
+    w.field("finished_at_us", finishedAtMicros);
+    w.key("trace").beginArray();
+    for (const auto &event : trace)
+        writeTraceEvent(w, event);
+    w.endArray().endObject();
     return out;
 }
 
@@ -66,14 +66,14 @@ std::string
 FlightRecorder::json() const
 {
     const auto records = snapshot();
-    std::string out = "{\"capacity\":" + std::to_string(capacity_);
-    out += ",\"recorded\":" + std::to_string(totalPushed());
-    out += ",\"records\":[";
-    for (size_t i = 0; i < records.size(); ++i) {
-        out += i ? ",\n" : "";
-        out += records[i].json();
-    }
-    out += "]}";
+    std::string out;
+    json::Writer w(out);
+    w.beginObject().field("capacity", capacity_);
+    w.field("recorded", totalPushed());
+    w.key("records").beginArray();
+    for (const auto &record : records)
+        w.lineBreak().raw(record.json());
+    w.endArray().endObject();
     return out;
 }
 

@@ -54,6 +54,7 @@ cloneExpr(const Expr &e)
     auto out = std::make_unique<Expr>();
     out->kind = e.kind;
     out->loc = e.loc;
+    out->height = e.height;
     out->value = e.value;
     out->isIntLit = e.isIntLit;
     out->name = e.name;

@@ -63,6 +63,9 @@ struct Expr
 {
     ExprKind kind = ExprKind::Number;
     SourceLoc loc;
+    /** Levels in this subtree, itself included, as the parser built it
+     *  (kept below kMaxExprDepth, pmlang/parser.h). */
+    int height = 1;
 
     // Number
     double value = 0.0;

@@ -1,8 +1,10 @@
 #include "pmlang/parser.h"
 
+#include <algorithm>
 #include <charconv>
 #include <utility>
 
+#include "core/strings.h"
 #include "obs/trace.h"
 #include "pmlang/lexer.h"
 
@@ -38,6 +40,35 @@ typeFor(Tok kind)
     }
 }
 
+[[noreturn]] void
+tooDeep(SourceLoc loc)
+{
+    fatal(format("expression nested deeper than %d levels", kMaxExprDepth),
+          loc);
+}
+
+/** Sets @p e's height from its operands'; past kMaxExprDepth throws. */
+ExprPtr
+measured(ExprPtr e)
+{
+    int below = 0;
+    for (const Expr *operand : {e->lhs.get(), e->rhs.get(), e->third.get(),
+                                e->body.get()}) {
+        if (operand)
+            below = std::max(below, operand->height);
+    }
+    for (const auto &arg : e->args)
+        below = std::max(below, arg->height);
+    for (const auto &axis : e->axes) {
+        if (axis.cond)
+            below = std::max(below, axis.cond->height);
+    }
+    e->height = below + 1;
+    if (e->height > kMaxExprDepth)
+        tooDeep(e->loc);
+    return e;
+}
+
 ExprPtr
 makeBinary(std::string op, ExprPtr lhs, ExprPtr rhs, SourceLoc loc)
 {
@@ -47,8 +78,28 @@ makeBinary(std::string op, ExprPtr lhs, ExprPtr rhs, SourceLoc loc)
     e->op = std::move(op);
     e->lhs = std::move(lhs);
     e->rhs = std::move(rhs);
-    return e;
+    return measured(std::move(e));
 }
+
+/** One level of parser recursion, held while the parser is inside it;
+ *  past kMaxExprDepth it throws instead of recursing toward a stack
+ *  overflow. */
+class Nesting
+{
+  public:
+    Nesting(int &depth, SourceLoc loc) : depth_(depth)
+    {
+        if (depth_ >= kMaxExprDepth)
+            tooDeep(loc);
+        ++depth_;
+    }
+    ~Nesting() { --depth_; }
+    Nesting(const Nesting &) = delete;
+    Nesting &operator=(const Nesting &) = delete;
+
+  private:
+    int &depth_;
+};
 
 } // namespace
 
@@ -375,6 +426,7 @@ Parser::parseStandaloneExpr()
 ExprPtr
 Parser::parseExpr()
 {
+    const Nesting level(nesting_, peek().loc);
     return parseTernary();
 }
 
@@ -391,7 +443,7 @@ Parser::parseTernary()
     e->rhs = parseExpr();
     expect(Tok::Colon, "in conditional expression");
     e->third = parseExpr();
-    return e;
+    return measured(std::move(e));
 }
 
 ExprPtr
@@ -476,33 +528,23 @@ Parser::parsePower()
     const SourceLoc loc = peek().loc;
     advance();
     // right-associative
+    const Nesting level(nesting_, loc);
     return makeBinary("^", std::move(base), parsePower(), loc);
 }
 
 ExprPtr
 Parser::parseUnary()
 {
-    if (check(Tok::Minus)) {
-        const SourceLoc loc = peek().loc;
-        advance();
-        auto e = std::make_unique<Expr>();
-        e->kind = ExprKind::Unary;
-        e->loc = loc;
-        e->op = "neg";
-        e->lhs = parseUnary();
-        return e;
-    }
-    if (check(Tok::Not)) {
-        const SourceLoc loc = peek().loc;
-        advance();
-        auto e = std::make_unique<Expr>();
-        e->kind = ExprKind::Unary;
-        e->loc = loc;
-        e->op = "!";
-        e->lhs = parseUnary();
-        return e;
-    }
-    return parsePrimary();
+    if (!check(Tok::Minus) && !check(Tok::Not))
+        return parsePrimary();
+    auto e = std::make_unique<Expr>();
+    e->kind = ExprKind::Unary;
+    e->loc = peek().loc;
+    e->op = check(Tok::Minus) ? "neg" : "!";
+    advance();
+    const Nesting level(nesting_, e->loc);
+    e->lhs = parseUnary();
+    return measured(std::move(e));
 }
 
 ExprPtr
@@ -575,7 +617,7 @@ Parser::parseIdentExpr()
                     e->args.push_back(parseExpr());
             }
             expect(Tok::RParen, "after function arguments");
-            return e;
+            return measured(std::move(e));
         }
         // Group reduction: every bracket group must be a bare index name.
         e->kind = ExprKind::Reduce;
@@ -592,7 +634,7 @@ Parser::parseIdentExpr()
         }
         e->body = parseExpr();
         expect(Tok::RParen, "after reduction body");
-        return e;
+        return measured(std::move(e));
     }
 
     // Plain (possibly subscripted) reference.
@@ -605,7 +647,7 @@ Parser::parseIdentExpr()
         }
         e->args.push_back(std::move(g.expr));
     }
-    return e;
+    return measured(std::move(e));
 }
 
 } // namespace polymath::lang

@@ -15,6 +15,22 @@
 namespace polymath::lang {
 
 /**
+ * Deepest expression the parser accepts. It bounds both the height of
+ * the expression tree, the left-associative chains that `a + b + c`
+ * builds without recursing included, and the nesting of parentheses,
+ * unary operators, `^` and bracketed operands the parser recurses
+ * through; past it the parser throws a positioned UserError. Every
+ * later stage (sema, srDFG build, passes, printers) recurses over the
+ * tree, so without a bound one long sum overflowed the stack. Measured
+ * with `pmc --target DA` at the default 8 MiB stack: Release crashed
+ * from 7,200 nested parentheses and from about 10,900 chained terms or
+ * unary minuses; the ASan build from 1,340 chained terms (srDFG
+ * builder) and 2,230 parentheses. Table III/IV programs nest at most
+ * 18 levels.
+ */
+inline constexpr int kMaxExprDepth = 256;
+
+/**
  * Parses PMLang source text into a Program.
  * @throws UserError (with source location) on the first syntax error.
  */
@@ -85,6 +101,7 @@ class Parser
     std::vector<Token> toks_;
     size_t pos_ = 0;
     DiagnosticEngine *diag_ = nullptr;
+    int nesting_ = 0; ///< expression levels the parser is inside
 };
 
 } // namespace polymath::lang

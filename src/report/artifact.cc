@@ -63,7 +63,9 @@ BenchArtifact::json() const
         out += i ? ",\n    " : "\n    ";
         out += "{\"benchmark\": " + json::quote(sorted[i]->benchmark) +
                ", \"metric\": " + json::quote(sorted[i]->metric) +
-               ", \"value\": " + json::numberToJson(sorted[i]->value) + "}";
+               ", \"value\": ";
+        json::appendNumber(out, sorted[i]->value);
+        out += '}';
     }
     out += sorted.empty() ? "]\n" : "\n  ]\n";
     return out + "}\n";

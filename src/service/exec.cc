@@ -148,12 +148,8 @@ runRequest(const Request &req, lower::CompileCache &cache)
     }
     soc::SocRuntime runtime;
     if (req.faultRate != 0) { // negative => validation error
-        soc::FaultConfig faults;
-        faults.seed = req.faultSeed;
-        faults.accelUnavailableRate = req.faultRate / 5.0;
-        faults.dmaFailureRate = req.faultRate;
-        faults.watchdogRate = req.faultRate / 2.0;
-        runtime.setFaultModel(soc::FaultModel(faults));
+        runtime.setFaultModel(soc::FaultModel(
+            soc::FaultConfig::atRate(req.faultRate, req.faultSeed)));
     }
     target::WorkloadProfile workload;
     workload.invocations = req.invocations;
@@ -171,17 +167,23 @@ runRequest(const Request &req, lower::CompileCache &cache)
         }
     }
     if (want_doc) {
-        std::string doc = "{\"schema\":\"polymath-profile/1\",\"file\":";
-        json::appendQuoted(doc, req.file);
-        doc += ",\"partitions\":[";
-        for (size_t pi = 0; pi < sim.partitions.size(); ++pi) {
-            if (pi)
-                doc += ',';
-            target::appendProfileJson(doc, sim.partitions[pi]);
-        }
-        doc += "],\"total\":";
-        target::appendProfileJson(doc, sim.total);
-        doc += "}\n";
+        // Sized for every partition's entries plus the total's, which
+        // repeats them.
+        size_t entries = 0;
+        for (const auto &partition : sim.partitions)
+            entries += partition.ledger ? partition.ledger->entries.size() : 0;
+        std::string doc;
+        doc.reserve(640 + 320 * sim.partitions.size() + 512 * entries);
+        json::Writer w(doc);
+        w.beginObject().field("schema", "polymath-profile/1");
+        w.field("file", req.file);
+        w.key("partitions").beginArray();
+        for (const auto &partition : sim.partitions)
+            target::writeProfileJson(w, partition);
+        w.endArray().key("total");
+        target::writeProfileJson(w, sim.total);
+        w.endObject();
+        doc += '\n';
         result.profileJson = std::move(doc);
     }
     return result;

@@ -119,50 +119,47 @@ verbFromString(const std::string &word)
 std::string
 Request::json() const
 {
-    std::string doc = "{\"id\":" + std::to_string(id);
-    doc += ",\"verb\":" + json::quote(toString(verb));
+    std::string doc;
+    json::Writer w(doc);
+    w.beginObject().field("id", id);
+    w.field("verb", toString(verb));
     if (!requestId.empty())
-        doc += ",\"requestId\":" + json::quote(requestId);
+        w.field("requestId", requestId);
     if (metricsDelta)
-        doc += ",\"metricsDelta\":true";
-    doc += ",\"file\":" + json::quote(file);
-    doc += ",\"source\":" + json::quote(source);
-    doc += ",\"entry\":" + json::quote(entry);
+        w.field("metricsDelta", true);
+    w.field("file", file);
+    w.field("source", source);
+    w.field("entry", entry);
     if (!params.empty()) {
-        doc += ",\"params\":{";
-        bool first = true;
-        for (const auto &[name, value] : params) {
-            if (!first)
-                doc += ",";
-            first = false;
-            doc += json::quote(name) + ":" + std::to_string(value);
-        }
-        doc += "}";
+        w.key("params").beginObject();
+        for (const auto &[name, value] : params)
+            w.key(name).value(value);
+        w.endObject();
     }
     if (optimize)
-        doc += ",\"optimize\":true";
+        w.field("optimize", true);
     if (!target.empty())
-        doc += ",\"target\":" + json::quote(target);
+        w.field("target", target);
     if (schedule)
-        doc += ",\"schedule\":true";
-    doc += ",\"invocations\":" + std::to_string(invocations);
+        w.field("schedule", true);
+    w.field("invocations", invocations);
     if (faultRate != 0.0)
-        doc += ",\"faultRate\":" + json::numberToJson(faultRate);
+        w.field("faultRate", faultRate);
     // Seeds are full uint64s; a JSON double would truncate past 2^53,
     // so the seed travels as a decimal string.
-    doc += ",\"faultSeed\":" + json::quote(std::to_string(faultSeed));
-    doc += ",\"profileTop\":" + std::to_string(profileTop);
+    w.field("faultSeed", std::to_string(faultSeed));
+    w.field("profileTop", profileTop);
     if (profileDoc)
-        doc += ",\"profileDoc\":true";
+        w.field("profileDoc", true);
     if (verb == Verb::Dse) {
-        doc += ",\"dseSpace\":" + json::quote(dseSpace);
-        doc += ",\"dseSearch\":" + json::quote(dseSearch);
-        doc += ",\"dseSamples\":" + std::to_string(dseSamples);
-        doc += ",\"dseRounds\":" + std::to_string(dseRounds);
+        w.field("dseSpace", dseSpace);
+        w.field("dseSearch", dseSearch);
+        w.field("dseSamples", dseSamples);
+        w.field("dseRounds", dseRounds);
         // Same uint64-as-decimal-string convention as faultSeed.
-        doc += ",\"dseSeed\":" + json::quote(std::to_string(dseSeed));
+        w.field("dseSeed", std::to_string(dseSeed));
     }
-    doc += "}";
+    w.endObject();
     return doc;
 }
 
@@ -224,40 +221,31 @@ Response::json() const
                            profileJson.size() + metricsJson.size();
     std::string doc;
     doc.reserve(payload + payload / 8 + 128 + 48 * stats.size());
-    auto field = [&doc](const char *name, const std::string &value) {
-        if (value.empty())
-            return;
-        doc += name;
-        json::appendQuoted(doc, value);
-    };
-    doc += "{\"id\":";
-    doc += std::to_string(id);
-    doc += ok ? ",\"ok\":true" : ",\"ok\":false";
+    json::Writer w(doc);
+    w.beginObject().field("id", id);
+    w.field("ok", ok);
     if (rejected)
-        doc += ",\"rejected\":true";
-    doc += ",\"code\":";
-    doc += std::to_string(code);
+        w.field("rejected", true);
+    w.field("code", code);
     if (cacheHit)
-        doc += ",\"cacheHit\":true";
-    field(",\"requestId\":", requestId);
-    field(",\"output\":", output);
-    field(",\"error\":", error);
-    field(",\"profileJson\":", profileJson);
-    field(",\"metricsJson\":", metricsJson);
+        w.field("cacheHit", true);
+    if (!requestId.empty())
+        w.field("requestId", requestId);
+    if (!output.empty())
+        w.field("output", output);
+    if (!error.empty())
+        w.field("error", error);
+    if (!profileJson.empty())
+        w.field("profileJson", profileJson);
+    if (!metricsJson.empty())
+        w.field("metricsJson", metricsJson);
     if (!stats.empty()) {
-        doc += ",\"stats\":{";
-        bool first = true;
-        for (const auto &[name, value] : stats) {
-            if (!first)
-                doc += ',';
-            first = false;
-            json::appendQuoted(doc, name);
-            doc += ':';
-            json::appendNumber(doc, value);
-        }
-        doc += '}';
+        w.key("stats").beginObject();
+        for (const auto &[name, value] : stats)
+            w.key(name).value(value);
+        w.endObject();
     }
-    doc += '}';
+    w.endObject();
     return doc;
 }
 

@@ -42,6 +42,17 @@ FaultConfig::policyFor(FaultClass fault) const
     return accelPolicy;
 }
 
+FaultConfig
+FaultConfig::atRate(double rate, uint64_t seed)
+{
+    FaultConfig config;
+    config.seed = seed;
+    config.dmaFailureRate = rate;
+    config.watchdogRate = rate / 2.0;
+    config.accelUnavailableRate = rate / 5.0;
+    return config;
+}
+
 void
 FaultConfig::validate() const
 {

@@ -76,6 +76,15 @@ struct FaultConfig
 
     DegradationPolicy policyFor(FaultClass fault) const;
 
+    /**
+     * The fault mix behind every single-number fault rate (`pmc
+     * --fault-rate`, the service's faultRate, the resilience and SoC
+     * throughput benches): DMA failures at @p rate, watchdog trips at
+     * rate/2, accelerators unavailable at rate/5; budgets and policies
+     * keep their defaults.
+     */
+    static FaultConfig atRate(double rate, uint64_t seed);
+
     bool anyFaults() const
     {
         return accelUnavailableRate > 0.0 || dmaFailureRate > 0.0 ||

@@ -1,29 +1,15 @@
 #include "srdfg/serialize.h"
 
-#include <cctype>
-#include <charconv>
-#include <cmath>
-#include <limits>
 #include <map>
 #include <variant>
 #include <vector>
 
+#include "core/error.h"
 #include "core/json.h"
-#include "core/strings.h"
 
 namespace polymath::ir {
 
 namespace {
-
-// The JSON value/parser and locale-independent number emission live
-// in core/json (shared with the bench artifact pipeline); local
-// aliases keep the serializer body unchanged.
-using JsonValue = json::Value;
-using JsonArray = json::Array;
-using JsonObject = json::Object;
-using json::numberFromJson;
-using json::numberToJson;
-using json::quote;
 
 // --------------------------------------------------------------------------
 // Emission.
@@ -77,29 +63,24 @@ exprKindFromName(const std::string &name)
 }
 
 void
-emitIndexExpr(const IndexExpr &e, std::string *out)
+writeIndexExpr(json::Writer &w, const IndexExpr &e)
 {
-    *out += "{\"k\":";
-    *out += quote(exprKindName(e.kind()));
+    w.beginObject().field("k", exprKindName(e.kind()));
     if (e.kind() == IndexExpr::Kind::Const) {
-        *out += format(",\"v\":%lld",
-                       static_cast<long long>(e.constValue()));
+        w.field("v", e.constValue());
     } else if (e.kind() == IndexExpr::Kind::Var) {
-        *out += format(",\"s\":%d", e.varSlot());
+        w.field("s", e.varSlot());
     } else {
-        *out += ",\"c\":[";
-        for (size_t i = 0; i < e.children().size(); ++i) {
-            if (i)
-                *out += ",";
-            emitIndexExpr(e.children()[i], out);
-        }
-        *out += "]";
+        w.key("c").beginArray();
+        for (const auto &child : e.children())
+            writeIndexExpr(w, child);
+        w.endArray();
     }
-    *out += "}";
+    w.endObject();
 }
 
 IndexExpr
-readIndexExpr(const JsonValue &v)
+readIndexExpr(const json::Value &v)
 {
     const auto kind = exprKindFromName(v.at("k").str());
     switch (kind) {
@@ -122,21 +103,18 @@ readIndexExpr(const JsonValue &v)
 }
 
 void
-emitAccess(const Graph &graph, const Access &a, std::string *out)
+writeAccess(json::Writer &w, const Graph &graph, const Access &a)
 {
-    *out += format("{\"v\":%d,\"coords\":[", a.value);
-    const auto cs = graph.coords(a);
-    for (size_t i = 0; i < cs.size(); ++i) {
-        if (i)
-            *out += ",";
-        emitIndexExpr(cs[i], out);
-    }
-    *out += "]}";
+    w.beginObject().field("v", a.value);
+    w.key("coords").beginArray();
+    for (const auto &coord : graph.coords(a))
+        writeIndexExpr(w, coord);
+    w.endArray().endObject();
 }
 
 /** Reads an access, interning its coords into @p graph. */
 Access
-readAccess(Graph &graph, const JsonValue &v)
+readAccess(Graph &graph, const json::Value &v)
 {
     std::vector<IndexExpr> coords;
     for (const auto &c : v.at("coords").arr())
@@ -192,96 +170,62 @@ edgeKindFromName(const std::string &name)
 }
 
 void
-emitGraph(const Graph &graph, std::string *out)
+writeGraph(json::Writer &w, const Graph &graph)
 {
-    *out += "{\"name\":" + quote(graph.name);
-    *out += ",\"domain\":" + quote(lang::toString(graph.domain));
-    *out += ",\"values\":[";
-    for (size_t i = 0; i < graph.values.size(); ++i) {
-        const auto &v = graph.values[i];
-        if (i)
-            *out += ",";
-        *out += "{\"dtype\":" + quote(toString(v.md.dtype));
-        *out += ",\"kind\":" + quote(edgeKindName(v.md.kind));
-        *out += ",\"name\":" + quote(v.md.name);
-        *out += format(",\"producer\":%d", v.producer);
-        *out += ",\"shape\":[";
-        for (int d = 0; d < v.md.shape.rank(); ++d) {
-            if (d)
-                *out += ",";
-            *out += format("%lld",
-                           static_cast<long long>(v.md.shape.dim(d)));
-        }
-        *out += "]}";
+    w.beginObject().field("name", graph.name);
+    w.field("domain", lang::toString(graph.domain));
+    w.key("values").beginArray();
+    for (const auto &v : graph.values) {
+        w.beginObject().field("dtype", toString(v.md.dtype));
+        w.field("kind", edgeKindName(v.md.kind));
+        w.field("name", v.md.name);
+        w.field("producer", v.producer);
+        w.key("shape").beginArray();
+        for (int d = 0; d < v.md.shape.rank(); ++d)
+            w.value(v.md.shape.dim(d));
+        w.endArray().endObject();
     }
-    *out += "],\"inputs\":[";
-    for (size_t i = 0; i < graph.inputs.size(); ++i) {
-        if (i)
-            *out += ",";
-        *out += format("%d", graph.inputs[i]);
-    }
-    *out += "],\"outputs\":[";
-    for (size_t i = 0; i < graph.outputs.size(); ++i) {
-        if (i)
-            *out += ",";
-        *out += format("%d", graph.outputs[i]);
-    }
-    *out += "],\"nodes\":[";
-    const auto pool = graph.nodePool();
-    for (size_t i = 0; i < pool.size(); ++i) {
-        const Node &node = pool[i];
-        if (i)
-            *out += ",";
+    w.endArray().key("inputs").beginArray();
+    for (const ValueId id : graph.inputs)
+        w.value(id);
+    w.endArray().key("outputs").beginArray();
+    for (const ValueId id : graph.outputs)
+        w.value(id);
+    w.endArray().key("nodes").beginArray();
+    for (const Node &node : graph.nodePool()) {
         if (!node.live()) {
-            *out += "null";
+            w.null();
             continue;
         }
-        *out += "{\"kind\":" + quote(nodeKindName(node.kind));
-        *out += ",\"op\":" + quote(node.op.str());
-        *out += ",\"domain\":" + quote(lang::toString(node.domain));
-        *out += ",\"vars\":[";
-        const auto dvars = graph.domainVars(node);
-        for (size_t d = 0; d < dvars.size(); ++d) {
-            const auto &var = dvars[d];
-            if (d)
-                *out += ",";
-            *out += "{\"name\":" + quote(var.name);
-            *out += format(",\"extent\":%lld,\"reduced\":%s",
-                           static_cast<long long>(var.extent),
-                           var.reduced ? "true" : "false");
-            *out += "}";
+        w.beginObject().field("kind", nodeKindName(node.kind));
+        w.field("op", node.op.str());
+        w.field("domain", lang::toString(node.domain));
+        w.key("vars").beginArray();
+        for (const auto &var : graph.domainVars(node)) {
+            w.beginObject().field("name", var.name);
+            w.field("extent", var.extent);
+            w.field("reduced", var.reduced);
+            w.endObject();
         }
-        *out += "],\"ins\":[";
-        const auto ins = graph.ins(node);
-        for (size_t a = 0; a < ins.size(); ++a) {
-            if (a)
-                *out += ",";
-            emitAccess(graph, ins[a], out);
-        }
-        *out += "],\"outs\":[";
-        const auto outs = graph.outs(node);
-        for (size_t a = 0; a < outs.size(); ++a) {
-            if (a)
-                *out += ",";
-            emitAccess(graph, outs[a], out);
-        }
-        *out += format("],\"base\":%d", node.base);
-        *out += ",\"cval\":" + numberToJson(node.cval);
-        if (node.hasPredicate) {
-            *out += ",\"pred\":";
-            emitIndexExpr(node.predicate, out);
-        }
-        if (node.subgraph) {
-            *out += ",\"subgraph\":";
-            emitGraph(*node.subgraph, out);
-        }
-        *out += "}";
+        w.endArray().key("ins").beginArray();
+        for (const auto &access : graph.ins(node))
+            writeAccess(w, graph, access);
+        w.endArray().key("outs").beginArray();
+        for (const auto &access : graph.outs(node))
+            writeAccess(w, graph, access);
+        w.endArray().field("base", node.base);
+        w.field("cval", node.cval);
+        if (node.hasPredicate)
+            writeIndexExpr(w.key("pred"), node.predicate);
+        if (node.subgraph)
+            writeGraph(w.key("subgraph"), *node.subgraph);
+        w.endObject();
     }
-    *out += "]}";
+    w.endArray().endObject();
 }
 
 std::unique_ptr<Graph>
-readGraph(const JsonValue &v, const std::shared_ptr<IrContext> &context)
+readGraph(const json::Value &v, const std::shared_ptr<IrContext> &context)
 {
     auto graph = std::make_unique<Graph>();
     graph->name = v.at("name").str();
@@ -345,7 +289,7 @@ readGraph(const JsonValue &v, const std::shared_ptr<IrContext> &context)
         for (const auto &ja : jn.at("outs").arr())
             graph->addOutput(node, readAccess(*graph, ja));
         node.base = static_cast<ValueId>(jn.at("base").asInt());
-        node.cval = numberFromJson(jn.at("cval"));
+        node.cval = json::numberFromJson(jn.at("cval"));
         if (jn.obj().count("pred")) {
             node.predicate = readIndexExpr(jn.at("pred"));
             node.hasPredicate = true;
@@ -362,7 +306,8 @@ std::string
 toJson(const Graph &graph)
 {
     std::string out;
-    emitGraph(graph, &out);
+    json::Writer w(out);
+    writeGraph(w, graph);
     return out;
 }
 

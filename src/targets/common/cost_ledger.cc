@@ -348,63 +348,52 @@ profileTable(const PerfReport &report, int top_n)
 }
 
 void
-appendProfileJson(std::string &out, const PerfReport &report)
+writeProfileJson(json::Writer &w, const PerfReport &report)
 {
     const CostLedger *ledger = report.ledger.get();
-    out.reserve(out.size() + 320 +
-                (ledger ? 256 * ledger->entries.size() : 0));
-    auto number = [&out](const char *field, double value) {
-        out += field;
-        json::appendNumber(out, value);
-    };
-    out += "{\"schema\":\"polymath-profile/1\",\"machine\":";
-    json::appendQuoted(out, report.machine);
-    number(",\"report\":{\"seconds\":", report.seconds);
-    number(",\"joules\":", report.joules);
-    number(",\"computeSeconds\":", report.computeSeconds);
-    number(",\"memorySeconds\":", report.memorySeconds);
-    number(",\"overheadSeconds\":", report.overheadSeconds);
-    out += ",\"flops\":";
-    out += std::to_string(report.flops);
-    out += ",\"dramBytes\":";
-    out += std::to_string(report.dramBytes);
-    number(",\"utilization\":", report.utilization);
-    out += '}';
+    w.beginObject().field("schema", "polymath-profile/1");
+    w.field("machine", report.machine);
+    w.key("report").beginObject();
+    w.field("seconds", report.seconds);
+    w.field("joules", report.joules);
+    w.field("computeSeconds", report.computeSeconds);
+    w.field("memorySeconds", report.memorySeconds);
+    w.field("overheadSeconds", report.overheadSeconds);
+    w.field("flops", report.flops);
+    w.field("dramBytes", report.dramBytes);
+    w.field("utilization", report.utilization).endObject();
     if (ledger) {
-        number(",\"roofline\":{\"peakFlops\":", ledger->peakFlops);
-        number(",\"dramGBs\":", ledger->dramGBs);
-        out += "},\"entries\":[";
-        for (size_t i = 0; i < ledger->entries.size(); ++i) {
-            const CostEntry &e = ledger->entries[i];
-            out += i ? ",{\"label\":" : "{\"label\":";
-            json::appendQuoted(out, e.label);
-            out += ",\"phase\":";
-            json::appendQuoted(out, e.phase);
-            out += ",\"fragment\":";
-            out += std::to_string(e.fragment);
-            if (ledger->partitionCount > 0) {
-                out += ",\"partition\":";
-                out += std::to_string(e.partition);
-            }
-            out += ",\"bound\":";
-            json::appendQuoted(out, toString(e.bound));
-            number(",\"seconds\":", e.seconds);
-            number(",\"joules\":", e.joules);
-            number(",\"dramBytes\":", e.dramBytes);
-            number(",\"flops\":", e.flops);
-            number(",\"touchedBytes\":", e.touchedBytes);
-            out += '}';
+        w.key("roofline").beginObject();
+        w.field("peakFlops", ledger->peakFlops);
+        w.field("dramGBs", ledger->dramGBs).endObject();
+        w.key("entries").beginArray();
+        for (const CostEntry &e : ledger->entries) {
+            w.beginObject().field("label", e.label);
+            w.field("phase", e.phase);
+            w.field("fragment", e.fragment);
+            if (ledger->partitionCount > 0)
+                w.field("partition", e.partition);
+            w.field("bound", toString(e.bound));
+            w.field("seconds", e.seconds);
+            w.field("joules", e.joules);
+            w.field("dramBytes", e.dramBytes);
+            w.field("flops", e.flops);
+            w.field("touchedBytes", e.touchedBytes);
+            w.endObject();
         }
-        out += ']';
+        w.endArray();
     }
-    out += '}';
+    w.endObject();
 }
 
 std::string
 profileJson(const PerfReport &report)
 {
     std::string out;
-    appendProfileJson(out, report);
+    out.reserve(320 + (report.ledger ? 256 * report.ledger->entries.size()
+                                     : 0));
+    json::Writer w(out);
+    writeProfileJson(w, report);
     return out;
 }
 

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "core/json.h"
 #include "lower/accel_spec.h"
 #include "targets/common/machine_config.h"
 #include "targets/common/perf_report.h"
@@ -185,8 +186,8 @@ std::string profileTable(const PerfReport &report, int top_n = 10);
  */
 std::string profileJson(const PerfReport &report);
 
-/** Appends profileJson(@p report) to @p out without temporaries. */
-void appendProfileJson(std::string &out, const PerfReport &report);
+/** Writes profileJson(@p report) as the next value of @p w. */
+void writeProfileJson(json::Writer &w, const PerfReport &report);
 
 } // namespace polymath::target
 

@@ -44,7 +44,7 @@ MachineConfig::signature() const
     std::string sig = name;
     auto num = [&sig](double value) {
         sig += '\x1f';
-        sig += json::numberToJson(value);
+        json::appendNumber(sig, value);
     };
     num(freqGhz);
     num(watts);

@@ -337,7 +337,7 @@ TEST(Json, QuotedStringsParseBackAndHoldNoNewline)
     }
 }
 
-TEST(Json, AppendNumberMatchesNumberToJson)
+TEST(Json, AppendNumberIsShortestRoundTrip)
 {
     using limits = std::numeric_limits<double>;
     const std::pair<double, const char *> pinned[] = {
@@ -357,7 +357,6 @@ TEST(Json, AppendNumberMatchesNumberToJson)
         {1e21, "1e+21"},
     };
     for (const auto &[value, text] : pinned) {
-        EXPECT_EQ(json::numberToJson(value), text);
         std::string out = "x";
         json::appendNumber(out, value);
         EXPECT_EQ(out, std::string("x") + text);
@@ -399,6 +398,83 @@ TEST(Json, NestingDepthIsBounded)
                   std::string::npos)
             << e.what();
     }
+}
+
+TEST(JsonWriter, EmptyContainers)
+{
+    std::string out;
+    json::Writer(out).beginObject().endObject();
+    EXPECT_EQ(out, "{}");
+    out.clear();
+    json::Writer(out).beginArray().endArray();
+    EXPECT_EQ(out, "[]");
+    out.clear();
+    json::Writer(out).beginObject().key("a").beginArray().endArray()
+        .key("o").beginObject().endObject().endObject();
+    EXPECT_EQ(out, R"({"a":[],"o":{}})");
+}
+
+TEST(JsonWriter, NestingPlacesCommasAndColons)
+{
+    std::string out = "prefix ";
+    json::Writer w(out);
+    w.beginObject().field("s", "x").key("arr").beginArray();
+    w.value(1).beginArray().value(2).beginObject().endObject().endArray();
+    w.beginObject().field("k", true).field("n", false).endObject();
+    w.null().endArray().key("last").null().endObject();
+    EXPECT_EQ(out, R"(prefix {"s":"x","arr":[1,[2,{}],)"
+                   R"({"k":true,"n":false},null],"last":null})");
+    EXPECT_NO_THROW(json::parse(out.substr(7)));
+}
+
+TEST(JsonWriter, KeysAndStringsAreEscaped)
+{
+    std::string out;
+    json::Writer w(out);
+    const std::string key = "we\"ird\\\n\x01";
+    w.beginObject().key(key).value(key).endObject();
+    EXPECT_EQ(out, R"({"we\"ird\\\n\u0001":"we\"ird\\\n\u0001"})");
+    EXPECT_EQ(json::parse(out).at(key).str(), key);
+}
+
+TEST(JsonWriter, IntegersBesideDoubles)
+{
+    std::string out;
+    json::Writer w(out);
+    w.beginArray().value(int64_t{-9007199254740993}).value(0.5);
+    w.value(std::numeric_limits<uint64_t>::max()).value(3.0);
+    w.value(-7).value(size_t{42}).value(1e21).value(-0.0).endArray();
+    // Integers print as std::to_string does; doubles take the shortest
+    // round-trip form, so 3.0 prints as "3".
+    EXPECT_EQ(out, "[" + std::to_string(int64_t{-9007199254740993}) +
+                       ",0.5," +
+                       std::to_string(std::numeric_limits<uint64_t>::max()) +
+                       ",3,-7,42,1e+21,-0]");
+}
+
+TEST(JsonWriter, NonFiniteNumbersTravelAsMarkerStrings)
+{
+    using limits = std::numeric_limits<double>;
+    std::string out;
+    json::Writer w(out);
+    w.beginObject().field("nan", limits::quiet_NaN());
+    w.field("inf", limits::infinity()).field("ninf", -limits::infinity());
+    w.endObject();
+    EXPECT_EQ(out, R"({"nan":"nan","inf":"inf","ninf":"-inf"})");
+    const auto doc = json::parse(out);
+    EXPECT_TRUE(std::isnan(json::numberFromJson(doc.at("nan"))));
+    EXPECT_EQ(json::numberFromJson(doc.at("ninf")), -limits::infinity());
+}
+
+TEST(JsonWriter, RawValuesAndLineBreaks)
+{
+    std::string out;
+    json::Writer w(out);
+    w.beginArray().lineBreak().raw("1.0000000000000001e+300");
+    w.lineBreak().raw(R"({"x":1})").value("y").lineBreak().endArray();
+    // A line break only ever separates two elements: none before the
+    // first, none before the closing bracket.
+    EXPECT_EQ(out, "[1.0000000000000001e+300,\n{\"x\":1},\"y\"]");
 }
 
 } // namespace

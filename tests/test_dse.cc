@@ -408,6 +408,80 @@ TEST(Explore, RejectsEmptyPartitionsAndUnknownBackends)
         UserError);
 }
 
+TEST(Artifact, JsonBytesArePinned)
+{
+    DsePoint point;
+    point.index = 4;
+    point.label = "units x2 \"fast\"";
+    point.seconds = 0.1;
+    point.joules = 1e-7;
+    point.perfPerWatt = 12345.678;
+    point.computeSeconds = 0.0625;
+    point.dmaSeconds = 0;
+    point.overheadSeconds = 3e20;
+    point.dominantPhase = "compute";
+    point.topCost = "#3 mac";
+    DseStudy study;
+    study.id = "BlackScholes";
+    study.backend = "TABLA";
+    study.spaceSize = 81;
+    study.evaluated = 27;
+    study.baseline = point;
+    study.best = point;
+    study.best.index = 9;
+    study.front = {point, study.best};
+    DseArtifact artifact;
+    artifact.name = "dse";
+    artifact.git = "abc123";
+    artifact.config = "Release";
+    artifact.space = "small";
+    artifact.search = "grid";
+    artifact.seed = 18446744073709551615ull;
+    artifact.samples = 64;
+    artifact.rounds = 3;
+    artifact.workloads = {study, DseStudy{}};
+    EXPECT_EQ(artifact.json(),
+              R"json({"schema":"polymath-dse/1","name":"dse",)json"
+              R"json("git":"abc123","config":"Release","space":"small",)json"
+              R"json("search":"grid","seed":"18446744073709551615",)json"
+              R"json("samples":64,"rounds":3,)json"
+              R"json("workloads":[{"id":"BlackScholes",)json"
+              R"json("backend":"TABLA","spaceSize":81,"evaluated":27,)json"
+              R"json("baseline":{"index":4,"label":"units x2 \"fast\"",)json"
+              R"json("seconds":0.1,"joules":1e-07,)json"
+              R"json("perfPerWatt":12345.678,"computeSeconds":0.0625,)json"
+              R"json("dmaSeconds":0,"overheadSeconds":3e+20,)json"
+              R"json("dominantPhase":"compute","topCost":"#3 mac"},)json"
+              R"json("best":{"index":9,"label":"units x2 \"fast\"",)json"
+              R"json("seconds":0.1,"joules":1e-07,)json"
+              R"json("perfPerWatt":12345.678,"computeSeconds":0.0625,)json"
+              R"json("dmaSeconds":0,"overheadSeconds":3e+20,)json"
+              R"json("dominantPhase":"compute","topCost":"#3 mac"},)json"
+              R"json("front":[{"index":4,"label":"units x2 \"fast\"",)json"
+              R"json("seconds":0.1,"joules":1e-07,)json"
+              R"json("perfPerWatt":12345.678,"computeSeconds":0.0625,)json"
+              R"json("dmaSeconds":0,"overheadSeconds":3e+20,)json"
+              R"json("dominantPhase":"compute","topCost":"#3 mac"},)json"
+              R"json({"index":9,"label":"units x2 \"fast\"",)json"
+              R"json("seconds":0.1,"joules":1e-07,)json"
+              R"json("perfPerWatt":12345.678,"computeSeconds":0.0625,)json"
+              R"json("dmaSeconds":0,"overheadSeconds":3e+20,)json"
+              R"json("dominantPhase":"compute","topCost":"#3 mac"}]},)json"
+              R"json({"id":"","backend":"","spaceSize":0,"evaluated":0,)json"
+              R"json("baseline":{"index":-1,"label":"","seconds":0,)json"
+              R"json("joules":0,"perfPerWatt":0,"computeSeconds":0,)json"
+              R"json("dmaSeconds":0,"overheadSeconds":0,)json"
+              R"json("dominantPhase":"","topCost":""},)json"
+              R"json("best":{"index":-1,"label":"","seconds":0,)json"
+              R"json("joules":0,"perfPerWatt":0,"computeSeconds":0,)json"
+              R"json("dmaSeconds":0,"overheadSeconds":0,)json"
+              R"json("dominantPhase":"","topCost":""},"front":[]}]})json" "\n");
+    EXPECT_EQ(DseArtifact{}.json(),
+              R"json({"schema":"polymath-dse/1","name":"","git":"",)json"
+              R"json("config":"","space":"","search":"","seed":"0",)json"
+              R"json("samples":0,"rounds":0,"workloads":[]})json" "\n");
+}
+
 TEST(Artifact, RoundTripsAndFlattensForBenchCompare)
 {
     const auto partition = syntheticPartition("TABLA");

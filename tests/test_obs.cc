@@ -193,6 +193,91 @@ TEST(Export, ChromeTraceJsonHasRequiredKeysAndBalancedBraces)
     EXPECT_EQ(json.substr(json.size() - 3), "]}\n");
 }
 
+/** A fixed trace: a span with string/numeric args needing escapes, an
+ *  instant without a category, and a virtual-track name. */
+std::vector<obs::TraceEvent>
+pinnedEvents()
+{
+    obs::TraceEvent span;
+    span.name = "compile \"a\\b\"\n";
+    span.cat = "frontend";
+    span.tid = 3;
+    span.ts = 1200;
+    span.dur = 345;
+    span.args = {obs::TraceArg::num("bytes", -17),
+                 obs::TraceArg::str("file", "x\ty.pm")};
+    obs::TraceEvent instant;
+    instant.name = "mark";
+    instant.ph = 'i';
+    instant.ts = 9;
+    obs::TraceEvent track;
+    track.name = "thread_name";
+    track.ph = 'M';
+    track.pid = obs::kVirtualPid;
+    track.tid = 4;
+    track.args = {obs::TraceArg::str("name", "DECO")};
+    return {span, instant, track};
+}
+
+TEST(Export, ChromeTraceBytesArePinned)
+{
+    obs::TraceRecorder rec;
+    rec.setEnabled(true);
+    for (auto &event : pinnedEvents())
+        rec.record(std::move(event));
+    EXPECT_EQ(obs::chromeTraceJson(rec),
+              R"json({"displayTimeUnit":"ms",)json"
+              R"json("traceEvents":[{"name":"process_name","ph":"M",)json"
+              R"json("pid":1,"tid":0,)json"
+              R"json("args":{"name":"polymath (wall clock)"}},)json"
+              R"json({"name":"process_name","ph":"M","pid":2,"tid":0,)json"
+              R"json("args":{"name":"polymath SoC (virtual time)"}},)json" "\n"
+              R"json({"name":"compile \"a\\b\"\n","cat":"frontend",)json"
+              R"json("ph":"X","pid":1,"tid":3,"ts":1200,"dur":345,)json"
+              R"json("args":{"bytes":-17,"file":"x\ty.pm"}},)json" "\n"
+              R"json({"name":"mark","ph":"i","pid":1,"tid":0,"ts":9,)json"
+              R"json("s":"t"},)json" "\n"
+              R"json({"name":"thread_name","ph":"M","pid":2,"tid":4,)json"
+              R"json("ts":0,"args":{"name":"DECO"}}]})json" "\n");
+}
+
+TEST(Metrics, SnapshotJsonBytesArePinned)
+{
+    obs::MetricsSnapshot snap;
+    snap.counters = {{"service.requests", 12}, {"z.neg", -3}};
+    snap.gauges = {{"cache.ratio", 0.1}, {"big", 1e300}, {"zero", 0.0}};
+    obs::HistogramStats h;
+    h.count = 3;
+    h.sum = 7;
+    h.min = -1;
+    h.max = 6;
+    h.underflow = 1;
+    snap.histograms = {{"pass.dce.micros", h}, {"empty", {}}};
+    obs::LatencyStats l;
+    l.count = 4;
+    l.sum = 1001;
+    l.min = 2;
+    l.max = 990;
+    l.p50 = 4.5;
+    l.p99 = 989.30000000000007;
+    l.p999 = 990;
+    snap.latencies = {{"service.request.execute_us", l}};
+    EXPECT_EQ(snap.json(),
+              R"json({"counters":{"service.requests":12,"z.neg":-3},)json"
+              R"json("gauges":{"big":1.0000000000000001e+300,)json"
+              R"json("cache.ratio":0.10000000000000001,"zero":0},)json"
+              R"json("histograms":{"empty":{"count":0,"sum":0,"min":0,)json"
+              R"json("max":0,"mean":0,"underflow":0},)json"
+              R"json("pass.dce.micros":{"count":3,"sum":7,"min":-1,)json"
+              R"json("max":6,"mean":2.3333333333333335,"underflow":1}},)json"
+              R"json("latencies":{"service.request.execute_us":{)json"
+              R"json("count":4,"sum":1001,"min":2,"max":990,"underflow":0,)json"
+              R"json("p50":4.5,"p99":989.30000000000007,"p999":990}}})json");
+    EXPECT_EQ(obs::MetricsSnapshot{}.json(),
+              R"json({"counters":{},"gauges":{},"histograms":{},)json"
+              R"json("latencies":{}})json");
+}
+
 // --- the instrumented stack --------------------------------------------------
 
 /** Compiles + SoC-executes the Table III suite under the global recorder

@@ -184,6 +184,79 @@ TEST(FlightRecorder, RingKeepsTheLastNOldestFirst)
     EXPECT_EQ(dump.at("records").arr().size(), 4u);
 }
 
+/** A fixed record; @p n varies the id and the counters. */
+obs::RequestRecord
+pinnedRecord(int n)
+{
+    obs::RequestRecord record;
+    record.requestId = "req-" + std::to_string(n) + "\"q\"";
+    record.verb = "simulate";
+    record.backends = n % 2 ? "TABLA,DECO" : "";
+    record.exitCode = n % 3;
+    record.cacheHits = n;
+    record.cacheMisses = 1 - n;
+    record.queueWaitMicros = 10 * n;
+    record.executeMicros = 250 + n;
+    record.bytesIn = 1000;
+    record.bytesOut = 20000 + n;
+    record.finishedAtMicros = 5000000 + n;
+    if (n == 1) {
+        obs::TraceEvent span;
+        span.name = "soc:execute";
+        span.cat = "soc";
+        span.ts = 7;
+        span.dur = 30;
+        span.args = {obs::TraceArg::str("req", record.requestId)};
+        record.trace = {span, span};
+    }
+    return record;
+}
+
+TEST(FlightRecorder, JsonBytesArePinned)
+{
+    EXPECT_EQ(pinnedRecord(1).json(),
+              R"json({"id":"req-1\"q\"","verb":"simulate",)json"
+              R"json("backends":"TABLA,DECO","exit":1,"cache_hits":1,)json"
+              R"json("cache_misses":0,"queue_wait_us":10,)json"
+              R"json("execute_us":251,"bytes_in":1000,)json"
+              R"json("bytes_out":20001,"finished_at_us":5000001,)json"
+              R"json("trace":[{"name":"soc:execute","cat":"soc",)json"
+              R"json("ph":"X","pid":1,"tid":0,"ts":7,"dur":30,)json"
+              R"json("args":{"req":"req-1\"q\""}},)json"
+              R"json({"name":"soc:execute","cat":"soc","ph":"X",)json"
+              R"json("pid":1,"tid":0,"ts":7,"dur":30,)json"
+              R"json("args":{"req":"req-1\"q\""}}]})json");
+    EXPECT_EQ(obs::RequestRecord{}.json(),
+              R"json({"id":"","verb":"","backends":"","exit":0,)json"
+              R"json("cache_hits":0,"cache_misses":0,"queue_wait_us":0,)json"
+              R"json("execute_us":0,"bytes_in":0,"bytes_out":0,)json"
+              R"json("finished_at_us":0,"trace":[]})json");
+    obs::FlightRecorder recorder(2);
+    EXPECT_EQ(recorder.json(),
+              R"json({"capacity":2,"recorded":0,"records":[]})json");
+    for (int n = 0; n < 3; ++n)
+        recorder.push(pinnedRecord(n));
+    EXPECT_EQ(recorder.json(),
+              R"json({"capacity":2,"recorded":3,)json"
+              R"json("records":[{"id":"req-1\"q\"","verb":"simulate",)json"
+              R"json("backends":"TABLA,DECO","exit":1,"cache_hits":1,)json"
+              R"json("cache_misses":0,"queue_wait_us":10,)json"
+              R"json("execute_us":251,"bytes_in":1000,)json"
+              R"json("bytes_out":20001,"finished_at_us":5000001,)json"
+              R"json("trace":[{"name":"soc:execute","cat":"soc",)json"
+              R"json("ph":"X","pid":1,"tid":0,"ts":7,"dur":30,)json"
+              R"json("args":{"req":"req-1\"q\""}},)json"
+              R"json({"name":"soc:execute","cat":"soc","ph":"X",)json"
+              R"json("pid":1,"tid":0,"ts":7,"dur":30,)json"
+              R"json("args":{"req":"req-1\"q\""}}]},)json" "\n"
+              R"json({"id":"req-2\"q\"","verb":"simulate",)json"
+              R"json("backends":"","exit":2,"cache_hits":2,)json"
+              R"json("cache_misses":-1,"queue_wait_us":20,)json"
+              R"json("execute_us":252,"bytes_in":1000,)json"
+              R"json("bytes_out":20002,"finished_at_us":5000002,)json"
+              R"json("trace":[]}]})json");
+}
+
 TEST(FlightRecorder, ZeroCapacityDisablesRecording)
 {
     obs::FlightRecorder recorder(0);

@@ -240,6 +240,87 @@ TEST(Parser, OverflowingLiteralRecoversIntoDiagnostics)
     ASSERT_EQ(prog.components.size(), 1u);
 }
 
+/** `b = <expr>;` over a scalar input: the expression starts at 2:9. */
+std::string
+scalarProgram(const std::string &expr)
+{
+    return "main(input float a, output float b) {\n    b = " + expr +
+           ";\n}\n";
+}
+
+/** The UserError that parse() throws on @p source. */
+UserError
+parseError(const std::string &source)
+{
+    try {
+        parse(source);
+    } catch (const UserError &e) {
+        return e;
+    }
+    ADD_FAILURE() << "expected a UserError";
+    return UserError("none");
+}
+
+std::string
+chain(const std::string &op, int terms)
+{
+    std::string expr = "a";
+    for (int i = 1; i < terms; ++i)
+        expr += " " + op + " a";
+    return expr;
+}
+
+TEST(Parser, ExpressionDepthIsBounded)
+{
+    const std::string parens = std::string(200000, '(') + "a" +
+                               std::string(200000, ')');
+    // The two inputs that used to overflow the stack: a 12,000-term sum
+    // (a left-leaning tree the parser builds without recursing) and
+    // 200,000 nested parentheses. The sum fails at its 256th '+' (the
+    // operand before it is 256 levels tall), the parentheses at the 257th
+    // level of nesting (the statement's expression is the first).
+    const std::pair<std::string, int> cases[] = {
+        {chain("+", 12000), 11 + 4 * (kMaxExprDepth - 1)},
+        {parens, 9 + kMaxExprDepth},
+        {std::string(200000, '-') + "a", 8 + kMaxExprDepth},
+        {chain("^", 12000), 11 + 4 * (kMaxExprDepth - 1)},
+    };
+    for (const auto &[expr, column] : cases) {
+        const UserError e = parseError(scalarProgram(expr));
+        EXPECT_NE(std::string(e.what()).find("nested deeper than 256"),
+                  std::string::npos)
+            << e.what();
+        EXPECT_EQ(e.loc().line, 2);
+        EXPECT_EQ(e.loc().column, column) << expr.substr(0, 20);
+
+        // With error recovery: one positioned diagnostic, and the parser
+        // resynchronizes to report later errors too.
+        DiagnosticEngine diag;
+        parseWithRecovery(scalarProgram(expr) + "oops", diag);
+        ASSERT_EQ(diag.errorCount(), 2u) << diag.str();
+        EXPECT_EQ(diag.diagnostics().front().loc.line, 2);
+        EXPECT_EQ(diag.diagnostics().front().loc.column, column);
+    }
+}
+
+TEST(Parser, ExpressionsAtTheDepthBoundParse)
+{
+    const int max = kMaxExprDepth;
+    for (const std::string &expr :
+         {chain("+", max), chain("*", max / 2) + " + " + chain("-", max / 2),
+          std::string(max - 1, '(') + "a" + std::string(max - 1, ')'),
+          std::string(max - 1, '-') + "a", chain("^", max)}) {
+        const Program prog = parse(scalarProgram(expr));
+        ASSERT_EQ(prog.components.size(), 1u);
+        EXPECT_LE(prog.components[0].body[0]->value->height, max);
+    }
+    // One level more is one too many.
+    EXPECT_THROW(parse(scalarProgram(chain("+", max + 1))), UserError);
+    EXPECT_THROW(parse(scalarProgram(std::string(max, '(') + "a" +
+                                     std::string(max, ')'))),
+                 UserError);
+}
+
 TEST(Parser, ExtremeButFiniteLiteralsParseExactly)
 {
     const auto e = parseExprText("1e308");

@@ -194,6 +194,22 @@ TEST(FaultConfigValidate, RejectsBadRatesAndBudgets)
     EXPECT_THROW(FaultModel{fc}, UserError);
 }
 
+TEST(FaultConfigAtRate, SplitsOneRateAcrossTheFaultClasses)
+{
+    const FaultConfig fc = FaultConfig::atRate(0.5, 7);
+    EXPECT_EQ(fc.seed, 7u);
+    EXPECT_EQ(fc.dmaFailureRate, 0.5);
+    EXPECT_EQ(fc.watchdogRate, 0.25);
+    EXPECT_EQ(fc.accelUnavailableRate, 0.1);
+    // Budgets and policies keep their defaults.
+    const FaultConfig defaults;
+    EXPECT_EQ(fc.maxDmaRetries, defaults.maxDmaRetries);
+    EXPECT_EQ(fc.maxReexecutions, defaults.maxReexecutions);
+    EXPECT_EQ(fc.dmaPolicy, defaults.dmaPolicy);
+    // A negative rate passes through for validate() to reject.
+    EXPECT_THROW(FaultModel{FaultConfig::atRate(-0.1, 7)}, UserError);
+}
+
 // ---------------------------------------------------------------------------
 // Fault injection on the SoC.
 // ---------------------------------------------------------------------------
@@ -210,16 +226,6 @@ class ResilienceFixture : public ::testing::Test
         profile_ = app.profile;
         for (const auto &kernel : app.kernels)
             hostEff_[kernel.accel] = kernel.cpuEff;
-    }
-
-    static FaultConfig faultyConfig(double rate, uint64_t seed = 42)
-    {
-        FaultConfig fc;
-        fc.seed = seed;
-        fc.accelUnavailableRate = rate / 5.0;
-        fc.dmaFailureRate = rate;
-        fc.watchdogRate = rate / 2.0;
-        return fc;
     }
 
     lower::AcceleratorRegistry registry_;
@@ -247,9 +253,9 @@ TEST_F(ResilienceFixture, DisabledFaultModelIsBitIdentical)
 TEST_F(ResilienceFixture, SameSeedSameReliabilityReport)
 {
     SocRuntime a(target::standardBackends(), target::socConfig(),
-                 FaultModel(faultyConfig(0.5, 7)));
+                 FaultModel(FaultConfig::atRate(0.5, 7)));
     SocRuntime b(target::standardBackends(), target::socConfig(),
-                 FaultModel(faultyConfig(0.5, 7)));
+                 FaultModel(FaultConfig::atRate(0.5, 7)));
     const auto ra = a.execute(compiled_, profile_, {}, hostEff_);
     const auto rb = b.execute(compiled_, profile_, {}, hostEff_);
     EXPECT_EQ(ra.total.seconds, rb.total.seconds);
@@ -270,7 +276,7 @@ TEST_F(ResilienceFixture, SameSeedSameReliabilityReport)
 TEST_F(ResilienceFixture, FaultsInjectOverheadAndReportIt)
 {
     SocRuntime faulty(target::standardBackends(), target::socConfig(),
-                      FaultModel(faultyConfig(0.5, 7)));
+                      FaultModel(FaultConfig::atRate(0.5, 7)));
     SocRuntime clean;
     const auto r = faulty.execute(compiled_, profile_, {}, hostEff_);
     const auto base = clean.execute(compiled_, profile_, {}, hostEff_);
@@ -456,7 +462,7 @@ TEST_F(ResilienceFixture, RaisingRatesOnlyAddsFaults)
     for (double rate : {0.0, 0.1, 0.3, 0.6, 1.0}) {
         SocRuntime runtime(target::standardBackends(),
                            target::socConfig(),
-                           FaultModel(faultyConfig(rate, 21)));
+                           FaultModel(FaultConfig::atRate(rate, 21)));
         const auto r = runtime.execute(compiled_, profile_, {}, hostEff_);
         EXPECT_GE(r.reliability.faultsInjected, prev_faults);
         EXPECT_GE(r.total.seconds, prev_seconds);

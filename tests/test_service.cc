@@ -30,6 +30,7 @@
 #include "core/json.h"
 #include "core/net.h"
 #include "lower/compile_cache.h"
+#include "pmlang/parser.h"
 #include "service/client.h"
 #include "service/exec.h"
 #include "service/protocol.h"
@@ -133,6 +134,49 @@ TEST(ServiceProtocol, RequestRoundTripsThroughJson)
     plain.verb = service::Verb::Compile;
     EXPECT_EQ(plain.json().find("requestId"), std::string::npos);
     EXPECT_EQ(plain.json().find("metricsDelta"), std::string::npos);
+}
+
+TEST(ServiceProtocol, RequestJsonBytesArePinned)
+{
+    // Every optional field set, the dse block included.
+    service::Request req;
+    req.id = 9;
+    req.verb = service::Verb::Dse;
+    req.requestId = "c\"1\"";
+    req.metricsDelta = true;
+    req.file = "a b.pm";
+    req.source = "main() {\n}\n";
+    req.entry = "main";
+    req.params = {{"n", 128}, {"m", -7}};
+    req.optimize = true;
+    req.target = "DA";
+    req.schedule = true;
+    req.invocations = 3;
+    req.faultRate = 0.1;
+    req.faultSeed = (1ull << 60) + 12345;
+    req.profileTop = 4;
+    req.profileDoc = true;
+    req.dseSpace = "full";
+    req.dseSearch = "random";
+    req.dseSamples = 17;
+    req.dseRounds = 2;
+    req.dseSeed = 18446744073709551615ull;
+    EXPECT_EQ(req.json(),
+              R"json({"id":9,"verb":"dse","requestId":"c\"1\"",)json"
+              R"json("metricsDelta":true,"file":"a b.pm",)json"
+              R"json("source":"main() {\n}\n","entry":"main",)json"
+              R"json("params":{"m":-7,"n":128},"optimize":true,)json"
+              R"json("target":"DA","schedule":true,"invocations":3,)json"
+              R"json("faultRate":0.1,"faultSeed":"1152921504606859321",)json"
+              R"json("profileTop":4,"profileDoc":true,)json"
+              R"json("dseSpace":"full","dseSearch":"random",)json"
+              R"json("dseSamples":17,"dseRounds":2,)json"
+              R"json("dseSeed":"18446744073709551615"})json");
+    // And the defaults: no optional field on the wire.
+    EXPECT_EQ(service::Request{}.json(),
+              R"json({"id":0,"verb":"simulate","file":"<request>",)json"
+              R"json("source":"","entry":"main","invocations":1,)json"
+              R"json("faultSeed":"24301","profileTop":10})json");
 }
 
 TEST(ServiceProtocol, ResponseRoundTripsThroughJson)
@@ -343,6 +387,76 @@ TEST(ServiceServer, DeeplyNestedLineGetsStructuredError)
     server.wait();
 }
 
+/** `y = x <op> x <op> ...` with @p terms operands: a left-leaning tree
+ *  @p terms levels tall. */
+std::string
+chainSource(int terms)
+{
+    std::string expr = "x";
+    for (int i = 1; i < terms; ++i)
+        expr += " + x";
+    return "main(input float x, output float y) {\ny = " + expr + ";\n}";
+}
+
+/** `y = ((...(x)...));` with @p depth parentheses. */
+std::string
+parenSource(int depth)
+{
+    return "main(input float x, output float y) {\ny = " +
+           std::string(static_cast<size_t>(depth), '(') + "x" +
+           std::string(static_cast<size_t>(depth), ')') + ";\n}";
+}
+
+TEST(ServiceServer, OverDeepExpressionsGetPositionedErrors)
+{
+    lower::CompileCache cache;
+    service::ServerConfig config;
+    config.socketPath = testSocket("depth");
+    config.jobs = 2;
+    config.cache = &cache;
+    service::Server server(config);
+    server.start();
+
+    // The two sources that used to overflow a worker's stack and kill
+    // the daemon: a 12,000-term sum and 200,000 nested parentheses.
+    service::Client client(config.socketPath);
+    int64_t id = 0;
+    for (const std::string &source :
+         {chainSource(12000), parenSource(200000)}) {
+        auto req = compileRequest(source, ++id);
+        req.verb = service::Verb::Simulate;
+        const auto resp = client.call(req);
+        EXPECT_FALSE(resp.ok);
+        EXPECT_EQ(resp.code, 1);
+        EXPECT_NE(resp.error.find("2:"), std::string::npos) << resp.error;
+        EXPECT_NE(resp.error.find("error: expression nested deeper than " +
+                                  std::to_string(lang::kMaxExprDepth) +
+                                  " levels"),
+                  std::string::npos)
+            << resp.error;
+    }
+    // The deepest admitted expressions run end to end on a worker thread:
+    // compile, optimize, lower, and simulate.
+    for (const std::string &source :
+         {chainSource(lang::kMaxExprDepth),
+          parenSource(lang::kMaxExprDepth - 1)}) {
+        auto req = compileRequest(source, ++id);
+        req.verb = service::Verb::Simulate;
+        req.optimize = true;
+        const auto resp = client.call(req);
+        EXPECT_TRUE(resp.ok) << resp.error;
+        EXPECT_EQ(resp.code, 0);
+    }
+    service::Request shutdown_req;
+    shutdown_req.verb = service::Verb::Shutdown;
+    const auto bye = client.call(shutdown_req);
+    EXPECT_TRUE(bye.ok);
+    EXPECT_DOUBLE_EQ(bye.stats.at("offered"), 4.0);
+    EXPECT_DOUBLE_EQ(bye.stats.at("completed") + bye.stats.at("rejected"),
+                     bye.stats.at("offered"));
+    server.wait();
+}
+
 TEST(ServiceServer, RoundRobinKeepsSmallClientsAhead)
 {
     using Clock = std::chrono::steady_clock;
@@ -354,7 +468,10 @@ TEST(ServiceServer, RoundRobinKeepsSmallClientsAhead)
     service::Server server(config);
     server.start();
 
-    constexpr int kBacklog = 48;
+    // Long enough that the backlog is still draining when the light
+    // client connects 20 ms in: 48 requests drained in ~25 ms on a
+    // 4-vCPU host and, under parallel test load, sometimes before it.
+    constexpr int kBacklog = 192;
     Clock::time_point heavy_done;
     Clock::time_point light_done;
 

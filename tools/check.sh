@@ -107,6 +107,23 @@ for preset in "${presets[@]}"; do
         rm -f "$trace_json"
         continue
     fi
+    if [ "$preset" = default ]; then
+        # One JSON writer: every compact document goes through
+        # json::Writer (src/core/json.h), which places keys, commas and
+        # escapes itself. A string literal holding a quoted key and its
+        # colon is a hand-built emitter; only the writer's own file and
+        # BenchArtifact's one-metric-per-line layout may have them.
+        echo "== [$preset] json-writer lint =="
+        hand_built="$(grep -rnE '\\"[A-Za-z_][A-Za-z0-9_.]*\\":' src \
+                      | grep -vE '^src/(core/json|report/artifact)\.cc:' \
+                      || true)"
+        if [ -n "$hand_built" ]; then
+            echo "json-writer lint: hand-built JSON keys (use" \
+                 "json::Writer):" >&2
+            echo "$hand_built" >&2
+            exit 1
+        fi
+    fi
     echo "== [$preset] build =="
     cmake --build --preset "$preset" -j "$jobs"
     echo "== [$preset] test =="
@@ -222,7 +239,27 @@ while not reply.endswith(b"\n"):
 r = json.loads(reply)
 assert r["ok"] is False and r["code"] == 2, r
 assert "nesting deeper than" in r["error"], r
+
+# PMLang sources that used to overflow a worker's stack: a 12,000-term
+# sum and 200,000 nested parentheses. Each must get a positioned
+# diagnostic (code 1), and the daemon must go on serving.
+sources = [
+    " + ".join(["x"] * 12000),
+    "(" * 200000 + "x" + ")" * 200000,
+]
+f = s.makefile("rb")
+for i, expr in enumerate(sources):
+    req = {"id": 100 + i, "verb": "simulate", "target": "DA",
+           "file": "deep.pm",
+           "source": "main(input float x, output float y) {\n"
+                     "    y = " + expr + ";\n}\n"}
+    s.sendall(json.dumps(req).encode() + b"\n")
+    r = json.loads(f.readline())
+    assert r["ok"] is False and r["code"] == 1, r
+    assert "2:" in r["error"] and "nested deeper than" in r["error"], r
 EOF
+        build/tools/pmc --connect "$tele_sock" --target DA \
+            examples/pmlang/affine.pm > /dev/null
         build/tools/pmcd --socket "$tele_sock" --shutdown 2>&1 \
             | python3 -c '
 import sys

@@ -627,10 +627,8 @@ runFile(const Options &opts, const std::string &file, std::string &out,
             stream.workers = opts.jobs;
             parseArrival(opts.arrival, stream);
             if (opts.faultRate != 0) { // negative => validation error
-                stream.faults.seed = opts.faultSeed;
-                stream.faults.accelUnavailableRate = opts.faultRate / 5.0;
-                stream.faults.dmaFailureRate = opts.faultRate;
-                stream.faults.watchdogRate = opts.faultRate / 2.0;
+                stream.faults =
+                    soc::FaultConfig::atRate(opts.faultRate, opts.faultSeed);
             }
             soc::StreamJob job;
             job.name = file;
