@@ -1,6 +1,5 @@
 #include "obs/export.h"
 
-#include <charconv>
 #include <fstream>
 
 #include "core/error.h"
@@ -85,17 +84,6 @@ promName(const std::string &name)
     return out;
 }
 
-/** Locale-independent number rendering for exposition values. */
-std::string
-promDouble(double value)
-{
-    char buf[64];
-    const auto [ptr, ec] =
-        std::to_chars(buf, buf + sizeof(buf), value,
-                      std::chars_format::general, 17);
-    return ec == std::errc{} ? std::string(buf, ptr) : std::string("0");
-}
-
 } // namespace
 
 std::string
@@ -110,22 +98,14 @@ prometheusText(const MetricsSnapshot &snapshot)
     for (const auto &[name, value] : snapshot.gauges) {
         const std::string n = promName(name);
         out += "# TYPE " + n + " gauge\n";
-        out += n + " " + promDouble(value) + "\n";
-    }
-    for (const auto &[name, h] : snapshot.histograms) {
-        const std::string n = promName(name);
-        out += "# TYPE " + n + " summary\n";
-        out += n + "_sum " + std::to_string(h.sum) + "\n";
-        out += n + "_count " + std::to_string(h.count) + "\n";
-        if (h.underflow > 0)
-            out += n + "_underflow " + std::to_string(h.underflow) + "\n";
+        out += n + " " + doubleText(value) + "\n";
     }
     for (const auto &[name, l] : snapshot.latencies) {
         const std::string n = promName(name);
         out += "# TYPE " + n + " summary\n";
-        out += n + "{quantile=\"0.5\"} " + promDouble(l.p50) + "\n";
-        out += n + "{quantile=\"0.99\"} " + promDouble(l.p99) + "\n";
-        out += n + "{quantile=\"0.999\"} " + promDouble(l.p999) + "\n";
+        out += n + "{quantile=\"0.5\"} " + doubleText(l.p50) + "\n";
+        out += n + "{quantile=\"0.99\"} " + doubleText(l.p99) + "\n";
+        out += n + "{quantile=\"0.999\"} " + doubleText(l.p999) + "\n";
         out += n + "_sum " + std::to_string(l.sum) + "\n";
         out += n + "_count " + std::to_string(l.count) + "\n";
         if (l.underflow > 0)

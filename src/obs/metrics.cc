@@ -5,83 +5,8 @@
 #include <cmath>
 
 #include "core/json.h"
-#include "core/strings.h"
 
 namespace polymath::obs {
-
-namespace {
-
-/** Shared count/sum/min/max update for both histogram flavors. */
-void
-observeScalars(std::atomic<int64_t> &count, std::atomic<int64_t> &sum,
-               std::atomic<int64_t> &min, std::atomic<int64_t> &max,
-               int64_t value)
-{
-    count.fetch_add(1, std::memory_order_relaxed);
-    sum.fetch_add(value, std::memory_order_relaxed);
-    int64_t seen = min.load(std::memory_order_relaxed);
-    while (value < seen &&
-           !min.compare_exchange_weak(seen, value,
-                                      std::memory_order_relaxed)) {
-    }
-    seen = max.load(std::memory_order_relaxed);
-    while (value > seen &&
-           !max.compare_exchange_weak(seen, value,
-                                      std::memory_order_relaxed)) {
-    }
-}
-
-} // namespace
-
-void
-Histogram::observe(int64_t value)
-{
-    observeScalars(count_, sum_, min_, max_, value);
-    if (value <= 0) {
-        // No positive bit width: an explicit underflow bucket instead
-        // of silently clamping into bucket 0 (which counts bit-width-0
-        // samples and would conflate "zero micros" with "negative").
-        underflow_.fetch_add(1, std::memory_order_relaxed);
-        return;
-    }
-    const int bucket = std::bit_width(static_cast<uint64_t>(value));
-    buckets_[bucket < kBuckets ? bucket : kBuckets - 1].fetch_add(
-        1, std::memory_order_relaxed);
-}
-
-HistogramStats
-Histogram::stats() const
-{
-    HistogramStats s;
-    s.count = count_.load(std::memory_order_relaxed);
-    s.sum = sum_.load(std::memory_order_relaxed);
-    s.underflow = underflow_.load(std::memory_order_relaxed);
-    if (s.count > 0) {
-        s.min = min_.load(std::memory_order_relaxed);
-        s.max = max_.load(std::memory_order_relaxed);
-    }
-    return s;
-}
-
-int64_t
-Histogram::bucket(int index) const
-{
-    if (index < 0 || index >= kBuckets)
-        return 0;
-    return buckets_[index].load(std::memory_order_relaxed);
-}
-
-void
-Histogram::reset()
-{
-    count_.store(0, std::memory_order_relaxed);
-    sum_.store(0, std::memory_order_relaxed);
-    min_.store(INT64_MAX, std::memory_order_relaxed);
-    max_.store(INT64_MIN, std::memory_order_relaxed);
-    underflow_.store(0, std::memory_order_relaxed);
-    for (auto &b : buckets_)
-        b.store(0, std::memory_order_relaxed);
-}
 
 int
 LatencyHistogram::bucketIndex(int64_t value)
@@ -111,15 +36,64 @@ LatencyHistogram::bucketValue(int index)
     return low + (int64_t{1} << (octave - 1)); // bucket midpoint
 }
 
+LatencyHistogram::~LatencyHistogram()
+{
+    for (auto &octave : octaves_)
+        delete[] octave.load(std::memory_order_relaxed);
+}
+
 void
 LatencyHistogram::observe(int64_t value)
 {
-    observeScalars(count_, sum_, min_, max_, value);
+    count_.fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(value, std::memory_order_relaxed);
+    int64_t seen = min_.load(std::memory_order_relaxed);
+    while (value < seen &&
+           !min_.compare_exchange_weak(seen, value,
+                                       std::memory_order_relaxed)) {
+    }
+    seen = max_.load(std::memory_order_relaxed);
+    while (value > seen &&
+           !max_.compare_exchange_weak(seen, value,
+                                       std::memory_order_relaxed)) {
+    }
     if (value <= 0) {
         underflow_.fetch_add(1, std::memory_order_relaxed);
         return;
     }
-    buckets_[bucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
+    const int index = bucketIndex(value);
+    if (index < kExactLimit) {
+        exact_[index].fetch_add(1, std::memory_order_relaxed);
+        return;
+    }
+    auto &slot = octaves_[(index - kExactLimit) / kSubBuckets];
+    std::atomic<int64_t> *block = slot.load(std::memory_order_acquire);
+    if (block == nullptr) {
+        // First sample in this octave: publish a zeroed block. A thread
+        // that loses the race frees its copy and uses the winner's.
+        auto *fresh = new std::atomic<int64_t>[kSubBuckets]();
+        if (slot.compare_exchange_strong(block, fresh,
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire))
+            block = fresh;
+        else
+            delete[] fresh;
+    }
+    block[(index - kExactLimit) % kSubBuckets].fetch_add(
+        1, std::memory_order_relaxed);
+}
+
+int64_t
+LatencyHistogram::bucket(int index) const
+{
+    if (index < kExactLimit)
+        return exact_[index].load(std::memory_order_relaxed);
+    const auto *block = octaves_[(index - kExactLimit) / kSubBuckets].load(
+        std::memory_order_acquire);
+    return block != nullptr
+               ? block[(index - kExactLimit) % kSubBuckets].load(
+                     std::memory_order_relaxed)
+               : 0;
 }
 
 double
@@ -137,7 +111,7 @@ LatencyHistogram::quantile(double q) const
     if (remaining <= 0)
         return 0.0; // underflow samples quantile-walk as 0
     for (int i = 1; i < kBucketCount; ++i) {
-        remaining -= buckets_[i].load(std::memory_order_relaxed);
+        remaining -= bucket(i);
         if (remaining <= 0)
             return static_cast<double>(bucketValue(i));
     }
@@ -171,8 +145,13 @@ LatencyHistogram::reset()
     min_.store(INT64_MAX, std::memory_order_relaxed);
     max_.store(INT64_MIN, std::memory_order_relaxed);
     underflow_.store(0, std::memory_order_relaxed);
-    for (auto &b : buckets_)
+    for (auto &b : exact_)
         b.store(0, std::memory_order_relaxed);
+    for (auto &octave : octaves_) {
+        auto *block = octave.load(std::memory_order_acquire);
+        for (int i = 0; block != nullptr && i < kSubBuckets; ++i)
+            block[i].store(0, std::memory_order_relaxed);
+    }
 }
 
 int64_t
@@ -182,9 +161,6 @@ MetricsSnapshot::counter(const std::string &name) const
     return it != counters.end() ? it->second : 0;
 }
 
-namespace {
-
-/** Locale-independent double rendering (DESIGN.md §"Locale"). */
 std::string
 doubleText(double value)
 {
@@ -195,54 +171,12 @@ doubleText(double value)
     return ec == std::errc{} ? std::string(buf, ptr) : std::string("0");
 }
 
-} // namespace
-
-std::string
-MetricsSnapshot::str() const
-{
-    std::string out;
-    for (const auto &[name, value] : counters)
-        out += format("%-44s %lld\n", name.c_str(),
-                      static_cast<long long>(value));
-    for (const auto &[name, value] : gauges)
-        out += format("%-44s %s\n", name.c_str(),
-                      doubleText(value).c_str());
-    for (const auto &[name, h] : histograms) {
-        out += format("%-44s count %lld  sum %lld  min %lld  max %lld  "
-                      "mean %s",
-                      name.c_str(), static_cast<long long>(h.count),
-                      static_cast<long long>(h.sum),
-                      static_cast<long long>(h.min),
-                      static_cast<long long>(h.max),
-                      doubleText(h.mean()).c_str());
-        // Only printed when present, so dumps of non-negative data keep
-        // their historical bytes.
-        if (h.underflow > 0)
-            out += format("  underflow %lld",
-                          static_cast<long long>(h.underflow));
-        out += "\n";
-    }
-    for (const auto &[name, l] : latencies) {
-        out += format("%-44s count %lld  p50 %s  p99 %s  p999 %s  "
-                      "max %lld",
-                      name.c_str(), static_cast<long long>(l.count),
-                      doubleText(l.p50).c_str(),
-                      doubleText(l.p99).c_str(),
-                      doubleText(l.p999).c_str(),
-                      static_cast<long long>(l.max));
-        if (l.underflow > 0)
-            out += format("  underflow %lld",
-                          static_cast<long long>(l.underflow));
-        out += "\n";
-    }
-    return out;
-}
-
 std::string
 MetricsSnapshot::json() const
 {
-    // Doubles keep the 17-significant-digit doubleText rendering of the
-    // text dump rather than the writer's shortest round-trip form.
+    // Doubles use the 17-significant-digit doubleText rendering shared
+    // with the Prometheus export rather than the writer's shortest
+    // round-trip form.
     std::string out;
     json::Writer w(out);
     w.beginObject().key("counters").beginObject();
@@ -251,16 +185,6 @@ MetricsSnapshot::json() const
     w.endObject().key("gauges").beginObject();
     for (const auto &[name, value] : gauges)
         w.key(name).raw(doubleText(value));
-    w.endObject().key("histograms").beginObject();
-    for (const auto &[name, h] : histograms) {
-        w.key(name).beginObject();
-        w.field("count", h.count);
-        w.field("sum", h.sum);
-        w.field("min", h.min);
-        w.field("max", h.max);
-        w.key("mean").raw(doubleText(h.mean()));
-        w.field("underflow", h.underflow).endObject();
-    }
     w.endObject().key("latencies").beginObject();
     for (const auto &[name, l] : latencies) {
         w.key(name).beginObject();
@@ -297,16 +221,6 @@ MetricsRegistry::gauge(const std::string &name)
     return *slot;
 }
 
-Histogram &
-MetricsRegistry::histogram(const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto &slot = histograms_[name];
-    if (!slot)
-        slot = std::make_unique<Histogram>();
-    return *slot;
-}
-
 LatencyHistogram &
 MetricsRegistry::latency(const std::string &name)
 {
@@ -326,8 +240,6 @@ MetricsRegistry::snapshot() const
         snap.counters[name] = c->value();
     for (const auto &[name, g] : gauges_)
         snap.gauges[name] = g->value();
-    for (const auto &[name, h] : histograms_)
-        snap.histograms[name] = h->stats();
     for (const auto &[name, l] : latencies_)
         snap.latencies[name] = l->stats();
     return snap;
@@ -341,8 +253,6 @@ MetricsRegistry::reset()
         c->reset();
     for (const auto &[name, g] : gauges_)
         g->reset();
-    for (const auto &[name, h] : histograms_)
-        h->reset();
     for (const auto &[name, l] : latencies_)
         l->reset();
 }

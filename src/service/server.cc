@@ -522,14 +522,6 @@ diffSnapshot(const obs::MetricsSnapshot &current,
         if (it != last.counters.end())
             value -= it->second;
     }
-    for (auto &[name, h] : delta.histograms) {
-        const auto it = last.histograms.find(name);
-        if (it == last.histograms.end())
-            continue;
-        h.count -= it->second.count;
-        h.sum -= it->second.sum;
-        h.underflow -= it->second.underflow;
-    }
     for (auto &[name, l] : delta.latencies) {
         const auto it = last.latencies.find(name);
         if (it == last.latencies.end())

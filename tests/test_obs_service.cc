@@ -2,7 +2,9 @@
  * @file
  * Tests for service-grade telemetry (docs/OBSERVABILITY.md §"Service
  * telemetry"): the log-linear LatencyHistogram's bounded-error
- * quantiles, the Histogram underflow bucket, the FlightRecorder ring,
+ * quantiles, its lazily allocated octave blocks under concurrent first
+ * samples, its underflow bucket, pass timings in the registry, the
+ * FlightRecorder ring,
  * RateWindow sliding rates, Prometheus text rendering, request-scoped
  * span routing, and — over the real socket — request-id attribution,
  * the dump/metrics verbs, slow-trace retention, and concurrent-request
@@ -17,11 +19,14 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/json.h"
@@ -30,10 +35,12 @@
 #include "obs/metrics.h"
 #include "obs/request.h"
 #include "obs/trace.h"
+#include "passes/pass.h"
 #include "service/client.h"
 #include "service/exec.h"
 #include "service/protocol.h"
 #include "service/server.h"
+#include "workloads/suite.h"
 
 namespace polymath {
 namespace {
@@ -134,31 +141,146 @@ TEST(LatencyHistogram, UnderflowWalksAsZero)
     EXPECT_DOUBLE_EQ(hist.quantile(0.5), 0.0);
 }
 
-// ---------------------------------------------------------------------
-// Histogram underflow bucket
+/** Samples reaching every bucket region: the exact range and three
+ *  sub-buckets of each of the kOctaves octaves above it. */
+std::vector<int64_t>
+everyOctaveSamples()
+{
+    std::vector<int64_t> values;
+    for (int64_t v = 1; v < obs::LatencyHistogram::kExactLimit; v += 7)
+        values.push_back(v);
+    for (int octave = 1; octave <= obs::LatencyHistogram::kOctaves;
+         ++octave) {
+        for (const int64_t sub : {128, 200, 255})
+            values.push_back(sub << octave);
+    }
+    return values;
+}
+
+TEST(LatencyHistogram, ConcurrentFirstSamplesMatchASerialRun)
+{
+    // Every thread observes every value into a fresh histogram, released
+    // together, so the threads race to publish each octave block; a lost
+    // block or increment shows up as a rank that walks to the wrong
+    // bucket. Several trials widen the window for the race.
+    constexpr int kThreads = 4;
+    constexpr int kTrials = 8;
+    const auto values = everyOctaveSamples();
+    obs::LatencyHistogram serial;
+    for (int t = 0; t < kThreads; ++t) {
+        for (const int64_t v : values)
+            serial.observe(v);
+    }
+    auto sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    const auto n = static_cast<int64_t>(kThreads * values.size());
+    // Rank k of n walks to the bucket of the k-th smallest sample; the
+    // last rank of each distinct sample checks the cumulative count of
+    // every bucket.
+    const auto checkEveryBucket = [&sorted, n](
+                                      const obs::LatencyHistogram &hist) {
+        for (int64_t k = kThreads; k <= n; k += kThreads) {
+            const double q = (static_cast<double>(k) - 0.5) /
+                             static_cast<double>(n);
+            const auto expected = static_cast<double>(
+                obs::LatencyHistogram::bucketValue(
+                    obs::LatencyHistogram::bucketIndex(
+                        sorted[(k - 1) / kThreads])));
+            if (hist.quantile(q) != expected)
+                return k;
+        }
+        return int64_t{0};
+    };
+    ASSERT_EQ(checkEveryBucket(serial), 0) << "first wrong rank";
+    const auto a = serial.stats();
+    for (int trial = 0; trial < kTrials; ++trial) {
+        obs::LatencyHistogram pooled;
+        std::atomic<int> ready{0};
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&pooled, &values, &ready] {
+                ready.fetch_add(1);
+                while (ready.load() < kThreads)
+                    std::this_thread::yield();
+                for (const int64_t v : values)
+                    pooled.observe(v);
+            });
+        }
+        for (auto &thread : threads)
+            thread.join();
+        ASSERT_EQ(pooled.count(), n);
+        ASSERT_EQ(checkEveryBucket(pooled), 0)
+            << "first wrong rank, trial " << trial;
+        const auto b = pooled.stats();
+        EXPECT_EQ(a.count, b.count);
+        EXPECT_EQ(a.sum, b.sum);
+        EXPECT_EQ(a.min, b.min);
+        EXPECT_EQ(a.max, b.max);
+        EXPECT_EQ(a.p50, b.p50);
+        EXPECT_EQ(a.p99, b.p99);
+        EXPECT_EQ(a.p999, b.p999);
+    }
+}
+
+TEST(LatencyHistogram, ResetZeroesAllocatedBlocks)
+{
+    obs::LatencyHistogram hist;
+    hist.observe(300);
+    hist.observe(int64_t{1} << 40);
+    hist.reset();
+    EXPECT_EQ(hist.count(), 0);
+    EXPECT_DOUBLE_EQ(hist.quantile(0.5), 0.0);
+    EXPECT_DOUBLE_EQ(hist.quantile(1.0), 0.0);
+    const auto empty = hist.stats();
+    EXPECT_DOUBLE_EQ(empty.p50, 0.0);
+    EXPECT_DOUBLE_EQ(empty.p999, 0.0);
+    // A stale count left in 300's block would be walked first.
+    const int64_t next = int64_t{1} << 30;
+    hist.observe(next);
+    const auto expected = static_cast<double>(
+        obs::LatencyHistogram::bucketValue(
+            obs::LatencyHistogram::bucketIndex(next)));
+    const auto stats = hist.stats();
+    EXPECT_EQ(stats.count, 1);
+    EXPECT_EQ(stats.sum, next);
+    EXPECT_DOUBLE_EQ(stats.p50, expected);
+    EXPECT_DOUBLE_EQ(stats.p999, expected);
+}
 
 TEST(HistogramUnderflow, NonPositiveSamplesAreAccounted)
 {
     obs::MetricsRegistry registry;
-    auto &hist = registry.histogram("test.samples");
+    auto &hist = registry.latency("test.samples");
     hist.observe(0);
     hist.observe(-3);
     hist.observe(42);
     const auto snapshot = registry.snapshot();
-    const auto &stats = snapshot.histograms.at("test.samples");
+    const auto &stats = snapshot.latencies.at("test.samples");
     EXPECT_EQ(stats.count, 3);
     EXPECT_EQ(stats.underflow, 2);
     EXPECT_EQ(stats.min, -3);
     EXPECT_EQ(stats.max, 42);
     EXPECT_EQ(stats.sum, 39);
     EXPECT_NE(snapshot.json().find("\"underflow\":2"), std::string::npos);
-    // The flat text dump only mentions underflow when it is non-zero,
-    // so underflow-free output stays byte-identical to before.
-    obs::MetricsRegistry clean;
-    clean.histogram("test.samples").observe(42);
-    EXPECT_EQ(clean.snapshot().str().find("underflow"),
-              std::string::npos);
-    EXPECT_NE(snapshot.str().find("underflow"), std::string::npos);
+}
+
+TEST(LatencyHistogram, PassTimingsLandInTheRegistry)
+{
+    const auto &bench = wl::tableIII().front();
+    auto graph = wl::buildGraph(bench.source, bench.buildOpts);
+    auto &metrics = obs::MetricsRegistry::global();
+    const auto count = [&metrics] {
+        const auto snap = metrics.snapshot();
+        const auto it = snap.latencies.find("pass.cse.micros");
+        return it == snap.latencies.end() ? int64_t{0} : it->second.count;
+    };
+    const int64_t before = count();
+    const auto results = pass::standardPipeline().runToFixpoint(*graph);
+    const auto rounds = std::count_if(
+        results.begin(), results.end(),
+        [](const pass::PassResult &r) { return r.name == "cse"; });
+    ASSERT_GE(rounds, 1);
+    EXPECT_EQ(count() - before, rounds);
 }
 
 // ---------------------------------------------------------------------
@@ -285,7 +407,7 @@ TEST(PrometheusText, RendersEveryInstrumentKind)
     obs::MetricsRegistry registry;
     registry.counter("service.server.completed").add(3);
     registry.gauge("service.cache.hit_rate").set(0.5);
-    registry.histogram("soc.partitions").observe(7);
+    registry.latency("soc.partitions").observe(7);
     auto &lat = registry.latency("service.execute_us");
     lat.observe(100);
     lat.observe(200);

@@ -212,10 +212,23 @@ for preset in "${presets[@]}"; do
             examples/pmlang/affine.pm > /dev/null
         build/tools/pmc --connect "$tele_sock" --target DA \
             examples/pmlang/black_scholes.pm > /dev/null
-        build/tools/pmc --connect "$tele_sock" --metrics \
-            | grep -q '^# TYPE polymath_service_server_completed counter$'
+        # An optimized compile puts pass timings into the one latency
+        # histogram family, with quantiles in both export formats.
+        build/tools/pmc --connect "$tele_sock" --target DA --optimize \
+            examples/pmlang/affine.pm > /dev/null
+        tele_prom="$(build/tools/pmc --connect "$tele_sock" --metrics)"
+        grep -q '^# TYPE polymath_service_server_completed counter$' \
+            <<< "$tele_prom"
+        grep -q '^polymath_pass_dce_micros{quantile="0.5"} ' \
+            <<< "$tele_prom"
         build/tools/pmc --connect "$tele_sock" --metrics-json \
-            | python3 -c "import json,sys; json.load(sys.stdin)"
+            | python3 -c '
+import json, sys
+d = json.load(sys.stdin)
+assert "histograms" not in d, sorted(d)
+dce = d["latencies"]["pass.dce.micros"]
+assert dce["count"] >= 1 and "p50" in dce, dce
+'
         build/tools/pmc --connect "$tele_sock" --dump | python3 -c '
 import json, sys
 d = json.load(sys.stdin)

@@ -794,7 +794,7 @@ printCompileSummary()
     const std::string prefix = "pass.";
     const std::string suffix = ".micros";
     bool header = false;
-    for (const auto &[name, h] : snap.histograms) {
+    for (const auto &[name, h] : snap.latencies) {
         if (name.rfind(prefix, 0) != 0 ||
             name.size() <= prefix.size() + suffix.size() ||
             name.compare(name.size() - suffix.size(), suffix.size(),
