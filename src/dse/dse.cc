@@ -173,9 +173,10 @@ explore(const std::string &workload_id, const std::string &backend,
     if (options.rounds < 1)
         fatal("dse: rounds must be positive");
 
-    // Phase attribution needs cost ledgers; the switch is sticky and
-    // process-wide, and all reports are byte-identical either way.
-    target::setProfilingEnabled(true);
+    // Phase attribution needs cost ledgers, for this search's
+    // simulations only.
+    target::WorkloadProfile profiled = profile;
+    profiled.profiling = true;
 
     auto driver = options.driver;
     if (driver == SearchOptions::Driver::Auto) {
@@ -198,7 +199,7 @@ explore(const std::string &workload_id, const std::string &backend,
             [&](int64_t i) {
                 return evaluatePoint(space,
                                      indices[static_cast<size_t>(i)],
-                                     partitions, profile);
+                                     partitions, profiled);
             });
         for (auto &point : results) {
             seen.insert(point.index);

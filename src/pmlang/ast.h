@@ -11,7 +11,8 @@
 #ifndef POLYMATH_PMLANG_AST_H_
 #define POLYMATH_PMLANG_AST_H_
 
-#include <memory>
+#include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,7 +34,18 @@ std::string toString(Modifier m);
 std::string toString(Domain d);
 
 struct Expr;
-using ExprPtr = std::unique_ptr<Expr>;
+struct Stmt;
+
+/** An expression node. Nodes live in their Program's arena (below) and
+ *  are read-only once the parser has built them. */
+using ExprPtr = const Expr *;
+
+/** A statement node, owned like ExprPtr. */
+using StmtPtr = const Stmt *;
+
+/** A node's operands in its Program's arena: subscripts, call
+ *  arguments, dimensions. */
+using ExprList = std::span<const ExprPtr>;
 
 /** Expression node kinds. */
 enum class ExprKind : uint8_t {
@@ -50,7 +62,7 @@ enum class ExprKind : uint8_t {
 struct ReduceAxis
 {
     std::string index;
-    ExprPtr cond; ///< may be null
+    ExprPtr cond = nullptr; ///< may be null
     SourceLoc loc;
 };
 
@@ -75,18 +87,18 @@ struct Expr
     std::string name;
 
     // Ref: index expressions; Call: arguments
-    std::vector<ExprPtr> args;
+    ExprList args;
 
     // Unary/Binary: operator spelling ("+", "-", "*", "/", "%", "^", "<",
     // "<=", ">", ">=", "==", "!=", "&&", "||", "!", "neg")
     std::string op;
-    ExprPtr lhs;
-    ExprPtr rhs;
-    ExprPtr third; ///< Ternary else-branch (lhs=cond, rhs=then)
+    ExprPtr lhs = nullptr;
+    ExprPtr rhs = nullptr;
+    ExprPtr third = nullptr; ///< Ternary else-branch (lhs=cond, rhs=then)
 
     // Reduce
     std::vector<ReduceAxis> axes;
-    ExprPtr body;
+    ExprPtr body = nullptr;
 };
 
 /** Statement node kinds. */
@@ -96,8 +108,8 @@ enum class StmtKind : uint8_t { IndexDecl, VarDecl, Assign, Call };
 struct IndexSpec
 {
     std::string name;
-    ExprPtr lo;
-    ExprPtr hi;
+    ExprPtr lo = nullptr;
+    ExprPtr hi = nullptr;
     SourceLoc loc;
 };
 
@@ -105,7 +117,7 @@ struct IndexSpec
 struct LocalDecl
 {
     std::string name;
-    std::vector<ExprPtr> dims;
+    ExprList dims;
     SourceLoc loc;
 };
 
@@ -124,15 +136,14 @@ struct Stmt
 
     // Assign: target[indices...] = value
     std::string target;
-    std::vector<ExprPtr> targetIndices;
-    ExprPtr value;
+    ExprList targetIndices;
+    ExprPtr value = nullptr;
 
     // Call: DOMAIN: callee(args...)
     Domain domain = Domain::None;
     std::string callee;
-    std::vector<ExprPtr> callArgs;
+    ExprList callArgs;
 };
-using StmtPtr = std::unique_ptr<Stmt>;
 
 /** One component argument declaration. */
 struct ArgDecl
@@ -140,7 +151,7 @@ struct ArgDecl
     Modifier mod = Modifier::Input;
     DType type = DType::Float;
     std::string name;
-    std::vector<ExprPtr> dims; ///< literals or symbolic dim names
+    ExprList dims; ///< literals or symbolic dim names
     SourceLoc loc;
 };
 
@@ -159,8 +170,78 @@ struct ReductionDecl
     std::string name;
     std::string paramA;
     std::string paramB;
-    ExprPtr body;
+    ExprPtr body = nullptr;
     SourceLoc loc;
+};
+
+/**
+ * Owner of a parse's Expr and Stmt nodes and operand lists. Each kind is
+ * kept in chunks that never reallocate, so a node's address is stable
+ * from construction until the Arena dies, moves included. The first
+ * chunks are sized from the token count, so a typical parse fills one
+ * per kind.
+ */
+class Arena
+{
+  public:
+    Arena() = default;
+    /** Sizes the first chunks for a parse of @p tokens tokens. */
+    explicit Arena(size_t tokens);
+    Arena(Arena &&) = default;
+    Arena &operator=(Arena &&) = default;
+    Arena(const Arena &) = delete;
+    Arena &operator=(const Arena &) = delete;
+
+    Expr *newExpr() { return exprs_.make(); }
+    Stmt *newStmt() { return stmts_.make(); }
+    /** Copies @p n operands starting at @p first into the arena. */
+    ExprList list(const ExprPtr *first, size_t n)
+    {
+        return {lists_.copy(first, n), n};
+    }
+
+  private:
+    /** Chunked storage of one type; a chunk never grows past the
+     *  capacity it was reserved with. */
+    template <typename T>
+    class Pool
+    {
+      public:
+        void reserve(size_t n) { next_ = n; }
+        T *make() { return &room(1).emplace_back(); }
+        const T *copy(const T *first, size_t n)
+        {
+            if (n == 0)
+                return nullptr;
+            auto &chunk = room(n);
+            const size_t at = chunk.size();
+            chunk.insert(chunk.end(), first, first + n);
+            return chunk.data() + at;
+        }
+
+      private:
+        std::vector<T> &room(size_t n)
+        {
+            if (chunks_.empty() ||
+                chunks_.back().capacity() - chunks_.back().size() < n) {
+                chunks_.emplace_back().reserve(
+                    std::max(n, std::min(next_, kChunkBytes / sizeof(T))));
+                next_ *= 2;
+            }
+            return chunks_.back();
+        }
+
+        /** Largest chunk a pool reserves; larger ones come from mmap,
+         *  and a parse would pay page faults for them every time. */
+        static constexpr size_t kChunkBytes = 64 * 1024;
+
+        std::vector<std::vector<T>> chunks_;
+        size_t next_ = 16;
+    };
+
+    Pool<Expr> exprs_;
+    Pool<Stmt> stmts_;
+    Pool<ExprPtr> lists_;
 };
 
 /** A whole PMLang translation unit. */
@@ -168,6 +249,8 @@ struct Program
 {
     std::vector<ComponentDecl> components;
     std::vector<ReductionDecl> reductions;
+    /** Every node the declarations above point to. */
+    Arena arena;
 
     /** Finds a component by name; nullptr when absent. */
     const ComponentDecl *findComponent(const std::string &name) const;
@@ -175,9 +258,6 @@ struct Program
     /** Finds a custom reduction by name; nullptr when absent. */
     const ReductionDecl *findReduction(const std::string &name) const;
 };
-
-/** Deep-copies an expression tree. */
-ExprPtr cloneExpr(const Expr &e);
 
 /** Renders an expression back to PMLang-like text (for diagnostics/tests). */
 std::string exprToString(const Expr &e);

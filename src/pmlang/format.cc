@@ -5,7 +5,7 @@ namespace polymath::lang {
 namespace {
 
 std::string
-dimsText(const std::vector<ExprPtr> &dims)
+dimsText(const ExprList &dims)
 {
     std::string out;
     for (const auto &d : dims)

@@ -1,27 +1,50 @@
 #include "pmlang/lexer.h"
 
 #include <array>
-#include <string_view>
-#include <unordered_map>
+#include <string>
 
 namespace polymath::lang {
 
 namespace {
 
-const std::unordered_map<std::string_view, Tok> &
-keywordMap()
+/** The keyword spelled @p text, or Tok::Ident. A switch on the length
+ *  leaves at most five candidates to compare. */
+Tok
+keywordOr(std::string_view text)
 {
-    static const std::unordered_map<std::string_view, Tok> kw = {
-        {"input", Tok::KwInput},     {"output", Tok::KwOutput},
-        {"state", Tok::KwState},     {"param", Tok::KwParam},
-        {"index", Tok::KwIndex},     {"reduction", Tok::KwReduction},
-        {"bin", Tok::KwBin},         {"int", Tok::KwInt},
-        {"float", Tok::KwFloat},     {"str", Tok::KwStr},
-        {"complex", Tok::KwComplex}, {"RBT", Tok::KwRBT},
-        {"GA", Tok::KwGA},           {"DSP", Tok::KwDSP},
-        {"DA", Tok::KwDA},           {"DL", Tok::KwDL},
-    };
-    return kw;
+    switch (text.size()) {
+      case 2:
+        if (text == "GA") return Tok::KwGA;
+        if (text == "DA") return Tok::KwDA;
+        if (text == "DL") return Tok::KwDL;
+        break;
+      case 3:
+        if (text == "bin") return Tok::KwBin;
+        if (text == "int") return Tok::KwInt;
+        if (text == "str") return Tok::KwStr;
+        if (text == "RBT") return Tok::KwRBT;
+        if (text == "DSP") return Tok::KwDSP;
+        break;
+      case 5:
+        if (text == "input") return Tok::KwInput;
+        if (text == "state") return Tok::KwState;
+        if (text == "param") return Tok::KwParam;
+        if (text == "index") return Tok::KwIndex;
+        if (text == "float") return Tok::KwFloat;
+        break;
+      case 6:
+        if (text == "output") return Tok::KwOutput;
+        break;
+      case 7:
+        if (text == "complex") return Tok::KwComplex;
+        break;
+      case 9:
+        if (text == "reduction") return Tok::KwReduction;
+        break;
+      default:
+        break;
+    }
+    return Tok::Ident;
 }
 
 // Branch-light character classes (PMLang source is ASCII); the
@@ -74,7 +97,7 @@ isIdent(char c)
 
 } // namespace
 
-Lexer::Lexer(std::string source) : src_(std::move(source)) {}
+Lexer::Lexer(std::string_view source) : src_(source) {}
 
 char
 Lexer::peek(int ahead) const
@@ -138,9 +161,9 @@ Lexer::skipTrivia()
 }
 
 Token
-Lexer::make(Tok kind, std::string text) const
+Lexer::make(Tok kind, size_t start) const
 {
-    return Token{kind, std::move(text), tokenStart_};
+    return Token{kind, src_.substr(start, pos_ - start), tokenStart_};
 }
 
 Token
@@ -168,8 +191,7 @@ Lexer::lexNumber()
                 ++pos_;
         }
     }
-    return make(is_float ? Tok::FloatLit : Tok::IntLit,
-                src_.substr(start, pos_ - start));
+    return make(is_float ? Tok::FloatLit : Tok::IntLit, start);
 }
 
 Token
@@ -178,11 +200,7 @@ Lexer::lexIdentOrKeyword()
     const size_t start = pos_;
     while (isIdent(peek()))
         ++pos_;
-    const std::string_view text(src_.data() + start, pos_ - start);
-    const auto &kw = keywordMap();
-    if (auto it = kw.find(text); it != kw.end())
-        return make(it->second, std::string(text));
-    return make(Tok::Ident, std::string(text));
+    return make(keywordOr(src_.substr(start, pos_ - start)), start);
 }
 
 Token
@@ -200,19 +218,21 @@ Lexer::lexString()
         fatal("unterminated string literal", open);
     const size_t len = pos_ - start;
     ++pos_; // closing quote
-    return make(Tok::StrLit, src_.substr(start, len));
+    return Token{Tok::StrLit, src_.substr(start, len), open};
 }
 
 std::vector<Token>
 Lexer::lexAll()
 {
     std::vector<Token> out;
-    out.reserve(src_.size() / 3 + 8);
+    // PMLang runs 1.9-2.8 bytes per token (Table III/IV programs).
+    out.reserve(src_.size() / 2 + 8);
     while (true) {
         skipTrivia();
         tokenStart_ = here();
+        const size_t start = pos_;
         if (atEnd()) {
-            out.push_back(make(Tok::Eof, ""));
+            out.push_back(make(Tok::Eof, start));
             return out;
         }
         const char c = peek();
@@ -229,75 +249,53 @@ Lexer::lexAll()
             continue;
         }
         ++pos_;
+        // The one-character kind of c, or its two-character form when
+        // followed by @p second.
+        auto pair = [&](char second, Tok two, Tok one) {
+            if (peek() != second)
+                return one;
+            ++pos_;
+            return two;
+        };
+        Tok kind;
         switch (c) {
-          case '(': out.push_back(make(Tok::LParen, "(")); break;
-          case ')': out.push_back(make(Tok::RParen, ")")); break;
-          case '{': out.push_back(make(Tok::LBrace, "{")); break;
-          case '}': out.push_back(make(Tok::RBrace, "}")); break;
-          case '[': out.push_back(make(Tok::LBracket, "[")); break;
-          case ']': out.push_back(make(Tok::RBracket, "]")); break;
-          case ',': out.push_back(make(Tok::Comma, ",")); break;
-          case ';': out.push_back(make(Tok::Semicolon, ";")); break;
-          case '?': out.push_back(make(Tok::Question, "?")); break;
-          case '+': out.push_back(make(Tok::Plus, "+")); break;
-          case '-': out.push_back(make(Tok::Minus, "-")); break;
-          case '*': out.push_back(make(Tok::Star, "*")); break;
-          case '/': out.push_back(make(Tok::Slash, "/")); break;
-          case '%': out.push_back(make(Tok::Percent, "%")); break;
-          case '^': out.push_back(make(Tok::Caret, "^")); break;
-          case ':':
-            out.push_back(make(Tok::Colon, ":"));
-            break;
-          case '=':
-            if (peek() == '=') {
-                ++pos_;
-                out.push_back(make(Tok::EqEq, "=="));
-            } else {
-                out.push_back(make(Tok::Assign, "="));
-            }
-            break;
-          case '<':
-            if (peek() == '=') {
-                ++pos_;
-                out.push_back(make(Tok::Le, "<="));
-            } else {
-                out.push_back(make(Tok::Lt, "<"));
-            }
-            break;
-          case '>':
-            if (peek() == '=') {
-                ++pos_;
-                out.push_back(make(Tok::Ge, ">="));
-            } else {
-                out.push_back(make(Tok::Gt, ">"));
-            }
-            break;
-          case '!':
-            if (peek() == '=') {
-                ++pos_;
-                out.push_back(make(Tok::NotEq, "!="));
-            } else {
-                out.push_back(make(Tok::Not, "!"));
-            }
-            break;
+          case '(': kind = Tok::LParen; break;
+          case ')': kind = Tok::RParen; break;
+          case '{': kind = Tok::LBrace; break;
+          case '}': kind = Tok::RBrace; break;
+          case '[': kind = Tok::LBracket; break;
+          case ']': kind = Tok::RBracket; break;
+          case ',': kind = Tok::Comma; break;
+          case ';': kind = Tok::Semicolon; break;
+          case '?': kind = Tok::Question; break;
+          case '+': kind = Tok::Plus; break;
+          case '-': kind = Tok::Minus; break;
+          case '*': kind = Tok::Star; break;
+          case '/': kind = Tok::Slash; break;
+          case '%': kind = Tok::Percent; break;
+          case '^': kind = Tok::Caret; break;
+          case ':': kind = Tok::Colon; break;
+          case '=': kind = pair('=', Tok::EqEq, Tok::Assign); break;
+          case '<': kind = pair('=', Tok::Le, Tok::Lt); break;
+          case '>': kind = pair('=', Tok::Ge, Tok::Gt); break;
+          case '!': kind = pair('=', Tok::NotEq, Tok::Not); break;
           case '&':
-            if (peek() == '&') {
-                ++pos_;
-                out.push_back(make(Tok::AndAnd, "&&"));
-                break;
-            }
-            fatal("unexpected character '&'", tokenStart_);
+            if (peek() != '&')
+                fatal("unexpected character '&'", tokenStart_);
+            ++pos_;
+            kind = Tok::AndAnd;
+            break;
           case '|':
-            if (peek() == '|') {
-                ++pos_;
-                out.push_back(make(Tok::OrOr, "||"));
-                break;
-            }
-            fatal("unexpected character '|'", tokenStart_);
+            if (peek() != '|')
+                fatal("unexpected character '|'", tokenStart_);
+            ++pos_;
+            kind = Tok::OrOr;
+            break;
           default:
             fatal(std::string("unexpected character '") + c + "'",
                   tokenStart_);
         }
+        out.push_back(make(kind, start));
     }
 }
 

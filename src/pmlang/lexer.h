@@ -8,18 +8,19 @@
 #ifndef POLYMATH_PMLANG_LEXER_H_
 #define POLYMATH_PMLANG_LEXER_H_
 
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "pmlang/token.h"
 
 namespace polymath::lang {
 
-/** Converts PMLang source text into a token stream. */
+/** Converts PMLang source text into a token stream. The lexer copies
+ *  nothing: @p source must outlive it and every token it returns. */
 class Lexer
 {
   public:
-    explicit Lexer(std::string source);
+    explicit Lexer(std::string_view source);
 
     /** Lexes the entire input; the final token is always Eof.
      *  @throws UserError on malformed input. */
@@ -33,10 +34,10 @@ class Lexer
     Token lexNumber();
     Token lexIdentOrKeyword();
     Token lexString();
-    Token make(Tok kind, std::string text) const;
+    Token make(Tok kind, size_t start) const;
     SourceLoc here() const;
 
-    std::string src_;
+    std::string_view src_;
     size_t pos_ = 0;
     int32_t line_ = 1;
     size_t lineStart_ = 0; ///< offset of the current line (column = pos - this)

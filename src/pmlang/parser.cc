@@ -1,6 +1,7 @@
 #include "pmlang/parser.h"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <utility>
 
@@ -47,39 +48,50 @@ tooDeep(SourceLoc loc)
           loc);
 }
 
-/** Sets @p e's height from its operands'; past kMaxExprDepth throws. */
-ExprPtr
-measured(ExprPtr e)
+/** Binding strengths of the binary operators, loosest first. */
+enum Prec : int {
+    kNone = 0, ///< not a binary operator
+    kOr,
+    kAnd,
+    kCompare, ///< non-associative
+    kAdd,
+    kMul,
+    kPower, ///< right-associative
+    kAtom,  ///< an operand no binary operator built
+};
+
+/** A binary operator's spelling in the AST and its precedence. */
+struct Infix
 {
-    int below = 0;
-    for (const Expr *operand : {e->lhs.get(), e->rhs.get(), e->third.get(),
-                                e->body.get()}) {
-        if (operand)
-            below = std::max(below, operand->height);
-    }
-    for (const auto &arg : e->args)
-        below = std::max(below, arg->height);
-    for (const auto &axis : e->axes) {
-        if (axis.cond)
-            below = std::max(below, axis.cond->height);
-    }
-    e->height = below + 1;
-    if (e->height > kMaxExprDepth)
-        tooDeep(e->loc);
-    return e;
+    const char *op = nullptr;
+    int prec = kNone;
+};
+
+constexpr std::array<Infix, static_cast<size_t>(Tok::Eof) + 1>
+makeInfixTable()
+{
+    std::array<Infix, static_cast<size_t>(Tok::Eof) + 1> t{};
+    auto set = [&t](Tok kind, const char *op, int prec) {
+        t[static_cast<size_t>(kind)] = {op, prec};
+    };
+    set(Tok::OrOr, "||", kOr);
+    set(Tok::AndAnd, "&&", kAnd);
+    set(Tok::Lt, "<", kCompare);
+    set(Tok::Gt, ">", kCompare);
+    set(Tok::Le, "<=", kCompare);
+    set(Tok::Ge, ">=", kCompare);
+    set(Tok::EqEq, "==", kCompare);
+    set(Tok::NotEq, "!=", kCompare);
+    set(Tok::Plus, "+", kAdd);
+    set(Tok::Minus, "-", kAdd);
+    set(Tok::Star, "*", kMul);
+    set(Tok::Slash, "/", kMul);
+    set(Tok::Percent, "%", kMul);
+    set(Tok::Caret, "^", kPower);
+    return t;
 }
 
-ExprPtr
-makeBinary(std::string op, ExprPtr lhs, ExprPtr rhs, SourceLoc loc)
-{
-    auto e = std::make_unique<Expr>();
-    e->kind = ExprKind::Binary;
-    e->loc = loc;
-    e->op = std::move(op);
-    e->lhs = std::move(lhs);
-    e->rhs = std::move(rhs);
-    return measured(std::move(e));
-}
+constexpr auto kInfix = makeInfixTable();
 
 /** One level of parser recursion, held while the parser is inside it;
  *  past kMaxExprDepth it throws instead of recursing toward a stack
@@ -129,7 +141,7 @@ parseWithRecovery(const std::string &source, DiagnosticEngine &diag)
 }
 
 Parser::Parser(std::vector<Token> tokens, DiagnosticEngine *diag)
-    : toks_(std::move(tokens)), diag_(diag)
+    : toks_(std::move(tokens)), diag_(diag), arena_(toks_.size())
 {
     if (toks_.empty() || !toks_.back().is(Tok::Eof))
         panic("token stream must end with Eof");
@@ -162,7 +174,7 @@ Parser::match(Tok kind)
 }
 
 const Token &
-Parser::expect(Tok kind, const std::string &context)
+Parser::expect(Tok kind, const char *context)
 {
     if (!check(kind)) {
         fatal("expected " + tokName(kind) + " " + context + ", found " +
@@ -228,6 +240,7 @@ Parser::parseProgram()
             synchronizeTopLevel();
         }
     }
+    prog.arena = std::move(arena_);
     return prog;
 }
 
@@ -307,15 +320,36 @@ Parser::parseArgDecl()
     return arg;
 }
 
-std::vector<ExprPtr>
+ExprList
 Parser::parseDims()
 {
-    std::vector<ExprPtr> dims;
+    const size_t mark = operands_.size();
     while (match(Tok::LBracket)) {
-        dims.push_back(parseExpr());
+        operands_.push_back(parseExpr());
         expect(Tok::RBracket, "after dimension");
     }
-    return dims;
+    return takeOperands(mark);
+}
+
+ExprList
+Parser::parseArgs()
+{
+    const size_t mark = operands_.size();
+    if (!check(Tok::RParen)) {
+        operands_.push_back(parseExpr());
+        while (match(Tok::Comma))
+            operands_.push_back(parseExpr());
+    }
+    return takeOperands(mark);
+}
+
+ExprList
+Parser::takeOperands(size_t mark)
+{
+    const ExprList list =
+        arena_.list(operands_.data() + mark, operands_.size() - mark);
+    operands_.resize(mark);
+    return list;
 }
 
 StmtPtr
@@ -346,7 +380,7 @@ Parser::parseStmt()
 StmtPtr
 Parser::parseIndexDecl()
 {
-    auto stmt = std::make_unique<Stmt>();
+    Stmt *stmt = arena_.newStmt();
     stmt->kind = StmtKind::IndexDecl;
     stmt->loc = peek().loc;
     expect(Tok::KwIndex, "at index declaration");
@@ -359,7 +393,7 @@ Parser::parseIndexDecl()
         expect(Tok::Colon, "between index bounds");
         spec.hi = parseExpr();
         expect(Tok::RBracket, "after index bounds");
-        stmt->indexSpecs.push_back(std::move(spec));
+        stmt->indexSpecs.push_back(spec);
     } while (match(Tok::Comma));
     expect(Tok::Semicolon, "after index declaration");
     return stmt;
@@ -368,7 +402,7 @@ Parser::parseIndexDecl()
 StmtPtr
 Parser::parseVarDecl(DType type)
 {
-    auto stmt = std::make_unique<Stmt>();
+    Stmt *stmt = arena_.newStmt();
     stmt->kind = StmtKind::VarDecl;
     stmt->loc = peek().loc;
     stmt->declType = type;
@@ -386,29 +420,27 @@ Parser::parseVarDecl(DType type)
 StmtPtr
 Parser::parseAssignOrCall(Domain domain)
 {
-    auto stmt = std::make_unique<Stmt>();
+    Stmt *stmt = arena_.newStmt();
     stmt->loc = peek().loc;
-    const std::string name = expect(Tok::Ident, "at statement").text;
+    const std::string_view name = expect(Tok::Ident, "at statement").text;
     if (check(Tok::LParen)) {
         stmt->kind = StmtKind::Call;
         stmt->domain = domain;
         stmt->callee = name;
         advance();
-        if (!check(Tok::RParen)) {
-            stmt->callArgs.push_back(parseExpr());
-            while (match(Tok::Comma))
-                stmt->callArgs.push_back(parseExpr());
-        }
+        stmt->callArgs = parseArgs();
         expect(Tok::RParen, "after instantiation arguments");
         expect(Tok::Semicolon, "after component instantiation");
         return stmt;
     }
     stmt->kind = StmtKind::Assign;
     stmt->target = name;
+    const size_t mark = operands_.size();
     while (match(Tok::LBracket)) {
-        stmt->targetIndices.push_back(parseExpr());
+        operands_.push_back(parseExpr());
         expect(Tok::RBracket, "after subscript");
     }
+    stmt->targetIndices = takeOperands(mark);
     expect(Tok::Assign, "in assignment");
     stmt->value = parseExpr();
     expect(Tok::Semicolon, "after assignment");
@@ -433,103 +465,78 @@ Parser::parseExpr()
 ExprPtr
 Parser::parseTernary()
 {
-    auto cond = parseOr();
+    const ExprPtr cond = parseBinary(kOr);
     if (!match(Tok::Question))
         return cond;
-    auto e = std::make_unique<Expr>();
+    Expr *e = arena_.newExpr();
     e->kind = ExprKind::Ternary;
     e->loc = cond->loc;
-    e->lhs = std::move(cond);
+    e->lhs = cond;
     e->rhs = parseExpr();
     expect(Tok::Colon, "in conditional expression");
     e->third = parseExpr();
-    return measured(std::move(e));
+    return measured(e);
 }
 
 ExprPtr
-Parser::parseOr()
+Parser::parseBinary(int minPrec)
 {
-    auto lhs = parseAnd();
-    while (check(Tok::OrOr)) {
+    ExprPtr lhs = parseUnary();
+    // The precedence of the operator that built lhs. An operator binding
+    // more tightly than that one was left here by a comparison that
+    // refused to chain (a < b < c), and so ends the expression, as does
+    // a comparison directly after one.
+    int built = kAtom;
+    while (true) {
+        const Infix &in = kInfix[static_cast<size_t>(peek().kind)];
+        if (in.prec < minPrec || in.prec > built ||
+            (in.prec == kCompare && built == kCompare))
+            return lhs;
         const SourceLoc loc = peek().loc;
         advance();
-        lhs = makeBinary("||", std::move(lhs), parseAnd(), loc);
+        ExprPtr rhs;
+        if (in.prec == kPower) {
+            // right-associative: the right operand takes further '^'s
+            const Nesting level(nesting_, loc);
+            rhs = parseBinary(kPower);
+        } else {
+            rhs = parseBinary(in.prec + 1);
+        }
+        lhs = makeBinary(in.op, lhs, rhs, loc);
+        built = in.prec;
     }
-    return lhs;
 }
 
 ExprPtr
-Parser::parseAnd()
+Parser::measured(Expr *e) const
 {
-    auto lhs = parseComparison();
-    while (check(Tok::AndAnd)) {
-        const SourceLoc loc = peek().loc;
-        advance();
-        lhs = makeBinary("&&", std::move(lhs), parseComparison(), loc);
+    int below = 0;
+    for (const Expr *operand : {e->lhs, e->rhs, e->third, e->body}) {
+        if (operand)
+            below = std::max(below, operand->height);
     }
-    return lhs;
+    for (const ExprPtr arg : e->args)
+        below = std::max(below, arg->height);
+    for (const auto &axis : e->axes) {
+        if (axis.cond)
+            below = std::max(below, axis.cond->height);
+    }
+    e->height = below + 1;
+    if (e->height > kMaxExprDepth)
+        tooDeep(e->loc);
+    return e;
 }
 
 ExprPtr
-Parser::parseComparison()
+Parser::makeBinary(const char *op, ExprPtr lhs, ExprPtr rhs, SourceLoc loc)
 {
-    auto lhs = parseAdditive();
-    std::string op;
-    switch (peek().kind) {
-      case Tok::Lt: op = "<"; break;
-      case Tok::Gt: op = ">"; break;
-      case Tok::Le: op = "<="; break;
-      case Tok::Ge: op = ">="; break;
-      case Tok::EqEq: op = "=="; break;
-      case Tok::NotEq: op = "!="; break;
-      default: return lhs;
-    }
-    const SourceLoc loc = peek().loc;
-    advance();
-    return makeBinary(std::move(op), std::move(lhs), parseAdditive(), loc);
-}
-
-ExprPtr
-Parser::parseAdditive()
-{
-    auto lhs = parseMultiplicative();
-    while (check(Tok::Plus) || check(Tok::Minus)) {
-        const std::string op = peek().is(Tok::Plus) ? "+" : "-";
-        const SourceLoc loc = peek().loc;
-        advance();
-        lhs = makeBinary(op, std::move(lhs), parseMultiplicative(), loc);
-    }
-    return lhs;
-}
-
-ExprPtr
-Parser::parseMultiplicative()
-{
-    auto lhs = parsePower();
-    while (check(Tok::Star) || check(Tok::Slash) || check(Tok::Percent)) {
-        std::string op = "*";
-        if (peek().is(Tok::Slash))
-            op = "/";
-        else if (peek().is(Tok::Percent))
-            op = "%";
-        const SourceLoc loc = peek().loc;
-        advance();
-        lhs = makeBinary(std::move(op), std::move(lhs), parsePower(), loc);
-    }
-    return lhs;
-}
-
-ExprPtr
-Parser::parsePower()
-{
-    auto base = parseUnary();
-    if (!check(Tok::Caret))
-        return base;
-    const SourceLoc loc = peek().loc;
-    advance();
-    // right-associative
-    const Nesting level(nesting_, loc);
-    return makeBinary("^", std::move(base), parsePower(), loc);
+    Expr *e = arena_.newExpr();
+    e->kind = ExprKind::Binary;
+    e->loc = loc;
+    e->op = op;
+    e->lhs = lhs;
+    e->rhs = rhs;
+    return measured(e);
 }
 
 ExprPtr
@@ -537,40 +544,40 @@ Parser::parseUnary()
 {
     if (!check(Tok::Minus) && !check(Tok::Not))
         return parsePrimary();
-    auto e = std::make_unique<Expr>();
+    Expr *e = arena_.newExpr();
     e->kind = ExprKind::Unary;
     e->loc = peek().loc;
     e->op = check(Tok::Minus) ? "neg" : "!";
     advance();
     const Nesting level(nesting_, e->loc);
     e->lhs = parseUnary();
-    return measured(std::move(e));
+    return measured(e);
 }
 
 ExprPtr
 Parser::parsePrimary()
 {
     if (check(Tok::IntLit) || check(Tok::FloatLit)) {
-        auto e = std::make_unique<Expr>();
+        Expr *e = arena_.newExpr();
         e->kind = ExprKind::Number;
         e->loc = peek().loc;
         e->isIntLit = peek().is(Tok::IntLit);
         // from_chars, not stod: stod honors the global locale and lets
         // out-of-range literals (1e999) escape as std::out_of_range
         // instead of a positioned diagnostic.
-        const std::string &text = peek().text;
+        const std::string_view text = peek().text;
         const char *begin = text.data();
         const char *end = begin + text.size();
         const auto [ptr, ec] = std::from_chars(begin, end, e->value);
         if (ec == std::errc::result_out_of_range)
-            errorHere("number literal out of range: " + text);
+            errorHere("number literal out of range: " + std::string(text));
         if (ec != std::errc{} || ptr != end)
-            errorHere("malformed number literal: " + text);
+            errorHere("malformed number literal: " + std::string(text));
         advance();
         return e;
     }
     if (match(Tok::LParen)) {
-        auto e = parseExpr();
+        const ExprPtr e = parseExpr();
         expect(Tok::RParen, "after parenthesized expression");
         return e;
     }
@@ -582,20 +589,14 @@ Parser::parsePrimary()
 ExprPtr
 Parser::parseIdentExpr()
 {
-    auto e = std::make_unique<Expr>();
+    Expr *e = arena_.newExpr();
     e->loc = peek().loc;
     e->name = expect(Tok::Ident, "in expression").text;
 
     // Bracket groups: either subscripts (A[i][j]) or reduce axes
     // (sum[i][j: j != i]). Disambiguated by a trailing '(' — subscripted
     // references are never applied.
-    struct Group
-    {
-        ExprPtr expr;
-        ExprPtr cond;
-        SourceLoc loc;
-    };
-    std::vector<Group> groups;
+    const size_t mark = groups_.size();
     while (match(Tok::LBracket)) {
         Group g;
         g.loc = peek().loc;
@@ -603,51 +604,51 @@ Parser::parseIdentExpr()
         if (match(Tok::Colon))
             g.cond = parseExpr();
         expect(Tok::RBracket, "after subscript");
-        groups.push_back(std::move(g));
+        groups_.push_back(g);
     }
+    const size_t groups = groups_.size() - mark;
 
     if (check(Tok::LParen)) {
         advance();
-        if (groups.empty()) {
+        if (groups == 0) {
             // Built-in function application: sigmoid(x), pow(a, b), ...
             e->kind = ExprKind::Call;
-            if (!check(Tok::RParen)) {
-                e->args.push_back(parseExpr());
-                while (match(Tok::Comma))
-                    e->args.push_back(parseExpr());
-            }
+            e->args = parseArgs();
             expect(Tok::RParen, "after function arguments");
-            return measured(std::move(e));
+            return measured(e);
         }
         // Group reduction: every bracket group must be a bare index name.
         e->kind = ExprKind::Reduce;
-        for (auto &g : groups) {
+        e->axes.reserve(groups);
+        for (size_t i = mark; i < mark + groups; ++i) {
+            const Group &g = groups_[i];
             if (g.expr->kind != ExprKind::Ref || !g.expr->args.empty()) {
                 fatal("reduction axis must be a bare index variable",
                       g.loc);
             }
-            ReduceAxis axis;
-            axis.index = g.expr->name;
-            axis.cond = std::move(g.cond);
-            axis.loc = g.loc;
-            e->axes.push_back(std::move(axis));
+            e->axes.push_back({g.expr->name, g.cond, g.loc});
         }
+        groups_.resize(mark);
         e->body = parseExpr();
         expect(Tok::RParen, "after reduction body");
-        return measured(std::move(e));
+        return measured(e);
     }
 
     // Plain (possibly subscripted) reference.
     e->kind = ExprKind::Ref;
-    for (auto &g : groups) {
+    const size_t operandMark = operands_.size();
+    for (size_t i = mark; i < mark + groups; ++i) {
+        const Group &g = groups_[i];
         if (g.cond) {
             fatal("conditional subscripts are only valid on reduction "
                   "axes",
                   g.loc);
         }
-        e->args.push_back(std::move(g.expr));
+        operands_.push_back(g.expr);
     }
-    return measured(std::move(e));
+    groups_.resize(mark);
+    e->args = takeOperands(operandMark);
+    return measured(e);
 }
 
 } // namespace polymath::lang

@@ -1,6 +1,7 @@
 /**
  * @file
- * Recursive-descent parser for PMLang.
+ * Recursive-descent parser for PMLang, with one precedence-climbing loop
+ * for the binary operators.
  */
 #ifndef POLYMATH_PMLANG_PARSER_H_
 #define POLYMATH_PMLANG_PARSER_H_
@@ -46,7 +47,11 @@ Program parse(const std::string &source);
  */
 Program parseWithRecovery(const std::string &source, DiagnosticEngine &diag);
 
-/** Internal parser class; exposed for unit tests of sub-productions. */
+/**
+ * Internal parser class; exposed for unit tests of sub-productions. The
+ * nodes it builds live in its Arena, which parseProgram() hands to the
+ * Program it returns.
+ */
 class Parser
 {
   public:
@@ -58,7 +63,8 @@ class Parser
     /** Parses a whole translation unit. */
     Program parseProgram();
 
-    /** Parses a single expression (must consume all input up to Eof). */
+    /** Parses a single expression (must consume all input up to Eof).
+     *  The expression lives as long as this parser. */
     ExprPtr parseStandaloneExpr();
 
   private:
@@ -66,7 +72,7 @@ class Parser
     const Token &advance();
     bool check(Tok kind) const { return peek().is(kind); }
     bool match(Tok kind);
-    const Token &expect(Tok kind, const std::string &context);
+    const Token &expect(Tok kind, const char *context);
     [[noreturn]] void errorHere(const std::string &message) const;
 
     /** Error recovery: skip tokens to a statement boundary (past a ';' or
@@ -84,24 +90,43 @@ class Parser
     StmtPtr parseIndexDecl();
     StmtPtr parseVarDecl(DType type);
     StmtPtr parseAssignOrCall(Domain domain);
-    std::vector<ExprPtr> parseDims();
+    ExprList parseDims();
+    /** Parses `expr (',' expr)*`, or nothing before a ')'. */
+    ExprList parseArgs();
 
     ExprPtr parseExpr();
     ExprPtr parseTernary();
-    ExprPtr parseOr();
-    ExprPtr parseAnd();
-    ExprPtr parseComparison();
-    ExprPtr parseAdditive();
-    ExprPtr parseMultiplicative();
-    ExprPtr parsePower();
+    /** Binary operators binding at least as tightly as @p minPrec. */
+    ExprPtr parseBinary(int minPrec);
     ExprPtr parseUnary();
     ExprPtr parsePrimary();
     ExprPtr parseIdentExpr();
+
+    /** Moves operands_ from @p mark on into the arena. */
+    ExprList takeOperands(size_t mark);
+    /** Sets @p e's height from its operands'; past kMaxExprDepth throws. */
+    ExprPtr measured(Expr *e) const;
+    ExprPtr makeBinary(const char *op, ExprPtr lhs, ExprPtr rhs,
+                       SourceLoc loc);
 
     std::vector<Token> toks_;
     size_t pos_ = 0;
     DiagnosticEngine *diag_ = nullptr;
     int nesting_ = 0; ///< expression levels the parser is inside
+    Arena arena_;
+    /** Operand lists under construction, innermost last; each list is
+     *  taken from the mark where it began. */
+    std::vector<ExprPtr> operands_;
+    /** One `[expr]` or `[expr: cond]` after a name: a subscript or a
+     *  reduction axis, told apart by what follows the groups. */
+    struct Group
+    {
+        ExprPtr expr = nullptr;
+        ExprPtr cond = nullptr;
+        SourceLoc loc;
+    };
+    /** Bracket groups under construction, like operands_. */
+    std::vector<Group> groups_;
 };
 
 } // namespace polymath::lang

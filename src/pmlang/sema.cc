@@ -1,17 +1,32 @@
 #include "pmlang/sema.h"
 
+#include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/flat_map.h"
+#include "core/strings.h"
 #include "obs/trace.h"
 #include "pmlang/builtins.h"
 
 namespace polymath::lang {
 
 namespace {
+
+/** Components by name, built once per analysis, so resolving a callee
+ *  is no scan of Program::components. Keys view the AST. */
+using ComponentIndex = std::map<std::string_view, const ComponentDecl *>;
+
+/** The component named @p name in @p index; nullptr when absent. */
+const ComponentDecl *
+findIn(const ComponentIndex &index, std::string_view name)
+{
+    const auto it = index.find(name);
+    return it == index.end() ? nullptr : it->second;
+}
 
 /** What a name refers to inside a component body. */
 struct Symbol
@@ -28,8 +43,9 @@ struct Symbol
 class ComponentChecker
 {
   public:
-    ComponentChecker(const Program &prog, const ComponentDecl &comp)
-        : prog_(prog), comp_(comp)
+    ComponentChecker(const Program &prog, const ComponentIndex &index,
+                     const ComponentDecl &comp)
+        : prog_(prog), index_(index), comp_(comp)
     {
     }
 
@@ -59,6 +75,7 @@ class ComponentChecker
     void collectIndexVars(const Expr &e, std::set<std::string_view> *out) const;
 
     const Program &prog_;
+    const ComponentIndex &index_;
     const ComponentDecl &comp_;
     FlatStringMap<Symbol> scope_; // keys view into the AST
     std::set<std::string_view> assigned_; // outputs/locals written so far
@@ -197,7 +214,7 @@ ComponentChecker::checkAssign(const Stmt &stmt)
 void
 ComponentChecker::checkCall(const Stmt &stmt)
 {
-    const ComponentDecl *callee = prog_.findComponent(stmt.callee);
+    const ComponentDecl *callee = findIn(index_, stmt.callee);
     if (!callee) {
         fatal("unknown component '" + stmt.callee + "'", stmt.loc);
     }
@@ -470,42 +487,84 @@ ComponentChecker::isWritable(const Symbol &sym) const
     return false;
 }
 
-/** Detects recursive component instantiation via DFS over the call graph. */
-class RecursionChecker
+/**
+ * Walks the instantiation graph depth first with an explicit stack, so a
+ * chain of any length costs heap, not native stack. Rejects cycles and
+ * chains of more than kMaxComponentDepth components, which bounds the
+ * srDFG builder's recursive instantiation.
+ */
+void
+checkInstantiations(const Program &prog, const ComponentIndex &index)
 {
-  public:
-    explicit RecursionChecker(const Program &prog) : prog_(prog) {}
-
-    void check()
+    const size_t n = prog.components.size();
+    // Per component: the tallest chain it heads, once walked (0 before),
+    // and whether it is on the current path.
+    std::vector<int> height(n, 0);
+    std::vector<bool> on_path(n, false);
+    // The current path, each component with the next body statement to
+    // look at and the tallest chain below it seen so far.
+    struct Frame
     {
-        for (const auto &comp : prog_.components)
-            visit(comp);
-    }
-
-  private:
-    void visit(const ComponentDecl &comp)
-    {
-        if (done_.count(comp.name))
-            return;
-        if (!onPath_.insert(comp.name).second) {
-            fatal("recursive instantiation of component '" + comp.name +
-                      "'",
-                  comp.loc);
+        size_t comp;
+        size_t next;
+        int height;
+    };
+    std::vector<Frame> path;
+    auto too_deep = [](const Stmt &call) {
+        fatal(format("component instantiation nested deeper than %d levels",
+                     kMaxComponentDepth),
+              call.loc);
+    };
+    // Puts component @p c on the path; @p call instantiates it from the
+    // component on top (null for a root).
+    auto enter = [&](size_t c, const Stmt *call) {
+        if (on_path[c]) {
+            fatal("recursive instantiation of component '" +
+                      prog.components[c].name + "'",
+                  prog.components[c].loc);
         }
-        for (const auto &stmt : comp.body) {
-            if (stmt->kind != StmtKind::Call)
+        if (call && path.size() >= static_cast<size_t>(kMaxComponentDepth))
+            too_deep(*call);
+        on_path[c] = true;
+        path.push_back({c, 0, 1});
+    };
+    for (size_t root = 0; root < n; ++root) {
+        if (height[root] != 0)
+            continue;
+        enter(root, nullptr);
+        while (!path.empty()) {
+            Frame &top = path.back();
+            const auto &body = prog.components[top.comp].body;
+            if (top.next == body.size()) {
+                on_path[top.comp] = false;
+                height[top.comp] = top.height;
+                const int below = top.height;
+                path.pop_back();
+                if (!path.empty())
+                    path.back().height =
+                        std::max(path.back().height, below + 1);
                 continue;
-            if (const auto *callee = prog_.findComponent(stmt->callee))
-                visit(*callee);
+            }
+            const Stmt &stmt = *body[top.next++];
+            const ComponentDecl *callee =
+                stmt.kind == StmtKind::Call ? findIn(index, stmt.callee)
+                                            : nullptr;
+            if (!callee)
+                continue; // not a call, or unknown (ComponentChecker says)
+            const auto c =
+                static_cast<size_t>(callee - prog.components.data());
+            if (height[c] == 0) {
+                enter(c, &stmt);
+                continue;
+            }
+            // The path down to top, then the tallest chain c heads.
+            if (path.size() + static_cast<size_t>(height[c]) >
+                static_cast<size_t>(kMaxComponentDepth))
+                too_deep(stmt);
+            top.height = std::max(top.height, height[c] + 1);
         }
-        onPath_.erase(comp.name);
-        done_.insert(comp.name);
     }
-
-    const Program &prog_;
-    std::set<std::string_view> onPath_;
-    std::set<std::string_view> done_;
-};
+}
 
 /** Validates a custom reduction body: pure scalar expression over (a, b). */
 void
@@ -567,9 +626,9 @@ analyze(const Program &prog, const std::string &entry)
 {
     obs::Span span("pmlang:sema", "frontend");
     span.arg("components", static_cast<int64_t>(prog.components.size()));
-    std::set<std::string_view> names;
+    ComponentIndex index;
     for (const auto &comp : prog.components) {
-        if (!names.insert(comp.name).second)
+        if (!index.emplace(comp.name, &comp).second)
             fatal("duplicate component '" + comp.name + "'", comp.loc);
         if (isBuiltinFunction(comp.name) || isBuiltinReduction(comp.name)) {
             fatal("component '" + comp.name + "' shadows a builtin",
@@ -582,12 +641,12 @@ analyze(const Program &prog, const std::string &entry)
             fatal("duplicate reduction '" + red.name + "'", red.loc);
         checkReduction(red);
     }
-    if (!prog.findComponent(entry))
+    if (!index.count(entry))
         fatal("entry component '" + entry + "' not found");
 
-    RecursionChecker(prog).check();
+    checkInstantiations(prog, index);
     for (const auto &comp : prog.components)
-        ComponentChecker(prog, comp).check();
+        ComponentChecker(prog, index, comp).check();
 }
 
 } // namespace polymath::lang

@@ -10,7 +10,8 @@
  *    the statement's left-hand side or an enclosing reduction axis;
  *  - reference arity (scalar or fully-indexed) and call arity/compatibility;
  *  - built-in function arity and reduction-name resolution;
- *  - absence of recursive component instantiation.
+ *  - absence of recursive component instantiation, and instantiation
+ *    chains no deeper than kMaxComponentDepth.
  *
  * All violations raise UserError with the offending source location.
  */
@@ -22,6 +23,16 @@
 #include "pmlang/ast.h"
 
 namespace polymath::lang {
+
+/**
+ * Most components one instantiation chain may hold, the entry included:
+ * `main` calling `f1` calling `f2` is three deep. The srDFG builder
+ * instantiates callees recursively, so the bound keeps a generated chain
+ * from overflowing the native stack of pmc or of a pmcd worker. A deeper
+ * chain is a positioned UserError at the instantiation that goes one
+ * level too far. Table III/IV programs nest at most 3 deep.
+ */
+inline constexpr int kMaxComponentDepth = 256;
 
 /**
  * Analyzes @p prog. @p entry is the top-level component ("main" for whole

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "core/error.h"
 
@@ -34,11 +35,13 @@ enum class Tok : uint8_t {
 /** Returns a printable name for @p kind ("'+'", "identifier", ...). */
 std::string tokName(Tok kind);
 
-/** One lexical token with its source text and location. */
+/** One lexical token with its location. @c text views the lexed source
+ *  (a string literal's without its quotes), so a token is valid only
+ *  while that source is. */
 struct Token
 {
     Tok kind = Tok::Eof;
-    std::string text;
+    std::string_view text;
     SourceLoc loc;
 
     bool is(Tok k) const { return kind == k; }

@@ -140,12 +140,6 @@ runRequest(const Request &req, lower::CompileCache &cache)
     if (!simulate)
         return result;
 
-    if (want_doc) {
-        // Sticky process-wide switch (one relaxed-atomic branch when
-        // off); reports stay byte-identical either way, so leaving it
-        // on after the first profile request is safe for neighbors.
-        target::setProfilingEnabled(true);
-    }
     soc::SocRuntime runtime;
     if (req.faultRate != 0) { // negative => validation error
         runtime.setFaultModel(soc::FaultModel(
@@ -153,6 +147,9 @@ runRequest(const Request &req, lower::CompileCache &cache)
     }
     target::WorkloadProfile workload;
     workload.invocations = req.invocations;
+    // Only this request's reports carry ledgers; neighbors' simulate
+    // requests build none.
+    workload.profiling = want_doc;
     const auto sim = runtime.execute(compiled, workload);
     result.out += format("simulated: %s\n", sim.total.str().c_str());
     if (req.faultRate > 0) {

@@ -205,7 +205,7 @@ class GraphBuilder
                    const Shape &actual_shape) const;
 
     Shape resolveDims(const Frame &frame,
-                      const std::vector<lang::ExprPtr> &dims) const;
+                      const lang::ExprList &dims) const;
 
     std::shared_ptr<const lang::Program> program_;
     std::shared_ptr<IrContext> context_;
@@ -452,7 +452,7 @@ GraphBuilder::unifyDims(Frame &frame, const lang::ArgDecl &formal,
 
 Shape
 GraphBuilder::resolveDims(const Frame &frame,
-                          const std::vector<lang::ExprPtr> &dims) const
+                          const lang::ExprList &dims) const
 {
     std::vector<int64_t> extents;
     for (const auto &d : dims)

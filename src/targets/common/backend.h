@@ -51,6 +51,11 @@ struct WorkloadProfile
      *  that no accelerator absorbs — the Amdahl residual of end-to-end
      *  applications. Ignored by kernel backends. */
     double hostGlueSeconds = 0.0;
+
+    /** Attach a cost ledger to every report of this simulation (also
+     *  done for all simulations while setProfilingEnabled(true) is on).
+     *  Reports are byte-identical either way. */
+    bool profiling = false;
 };
 
 /**

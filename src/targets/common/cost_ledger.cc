@@ -144,9 +144,9 @@ CostLedger::append(const CostLedger &other)
 }
 
 CostLedger *
-beginLedger(PerfReport &report, const std::string &machine)
+beginLedger(PerfReport &report, const std::string &machine, bool requested)
 {
-    if (!profilingEnabled())
+    if (!requested && !profilingEnabled())
         return nullptr;
     report.ledger = std::make_shared<CostLedger>();
     report.ledger->machine = machine;

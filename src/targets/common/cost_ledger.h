@@ -20,8 +20,9 @@
  * within 1e-9 relative tolerance — checked loudly at the non-virtual
  * Backend::simulate choke point (verifyLedger panics on violation).
  *
- * Profiling is off by default, exactly like obs::TraceRecorder: when
- * disabled, beginLedger() reads one relaxed atomic and returns nullptr,
+ * Profiling is off by default, exactly like obs::TraceRecorder: unless a
+ * simulation asks for a ledger (WorkloadProfile::profiling) or the
+ * process switch is on, beginLedger() returns nullptr,
  * every instrumentation site is behind one `if (ledger)` branch, and all
  * reports are byte-identical to a build without the subsystem.
  */
@@ -39,8 +40,10 @@
 
 namespace polymath::target {
 
-/** Global profiling switch (off by default; one relaxed atomic read on
- *  the hot path, mirroring obs::TraceRecorder::enabled). */
+/** Process-wide profiling switch (off by default; one relaxed atomic
+ *  read on the hot path, mirroring obs::TraceRecorder::enabled). While
+ *  on, every simulation builds ledgers; a single simulation asks for
+ *  them with WorkloadProfile::profiling instead. */
 bool profilingEnabled();
 void setProfilingEnabled(bool on);
 
@@ -146,11 +149,13 @@ struct CostLedger
 };
 
 /**
- * Attaches a fresh ledger to @p report when profiling is enabled and
- * returns it; returns nullptr (and leaves the report untouched) when
- * disabled. The single hot-path branch of the subsystem.
+ * Attaches a fresh ledger to @p report and returns it when the
+ * simulation asks for one (@p requested, its WorkloadProfile::profiling)
+ * or the process-wide switch is on; otherwise returns nullptr and leaves
+ * the report untouched. The single hot-path branch of the subsystem.
  */
-CostLedger *beginLedger(PerfReport &report, const std::string &machine);
+CostLedger *beginLedger(PerfReport &report, const std::string &machine,
+                        bool requested);
 
 /**
  * Distributes @p report's totals across the ledger's raw entries

@@ -114,7 +114,7 @@ DecoBackend::simulateImpl(const lower::Partition &partition,
             : 0.0;
     r.joules = m.watts * r.seconds;
 
-    if (CostLedger *ledger = beginLedger(r, r.machine)) {
+    if (CostLedger *ledger = beginLedger(r, r.machine, profile.profiling)) {
         // Raw fragment weight: its DSP-column issue slots. The stage
         // imbalance penalty, the per-level ceil() rounding, and the
         // chain-fill latency are schedule-level costs -> one residual.

@@ -135,7 +135,7 @@ GraphicionadoBackend::simulateImpl(const lower::Partition &partition,
             : 0.0;
     r.joules = m.watts * r.seconds;
 
-    if (CostLedger *ledger = beginLedger(r, r.machine)) {
+    if (CostLedger *ledger = beginLedger(r, r.machine, profile.profiling)) {
         // The model prices two phase pools (edge pipeline, vertex apply);
         // each fragment's raw weight is its ops-per-point share of its
         // phase's pool. Flop weights are re-derived on the deployed

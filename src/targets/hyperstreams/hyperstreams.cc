@@ -83,7 +83,7 @@ HyperstreamsBackend::simulateImpl(const lower::Partition &partition,
             : 0.0;
     r.joules = m.watts * r.seconds;
 
-    if (CostLedger *ledger = beginLedger(r, r.machine)) {
+    if (CostLedger *ledger = beginLedger(r, r.machine, profile.profiling)) {
         // Per-fragment cycles (elements + fill, or flops over stages)
         // are computed independently and summed, so attribution is exact.
         size_t i = 0;

@@ -91,7 +91,7 @@ RoboxBackend::simulateImpl(const lower::Partition &partition,
             : 0.0;
     r.joules = m.watts * r.seconds;
 
-    if (CostLedger *ledger = beginLedger(r, r.machine)) {
+    if (CostLedger *ledger = beginLedger(r, r.machine, profile.profiling)) {
         // The sequencer is serial, so the per-fragment issue cost
         // (ceil(work/lanes) + 8 sequencer cycles) is exact — no residual.
         for (size_t i = 0; i < partition.fragments.size(); ++i) {

@@ -94,7 +94,7 @@ TablaBackend::simulateImpl(const lower::Partition &partition,
             : 0.0;
     r.joules = m.watts * r.seconds;
 
-    if (CostLedger *ledger = beginLedger(r, r.machine)) {
+    if (CostLedger *ledger = beginLedger(r, r.machine, profile.profiling)) {
         // Raw per-fragment weight: its share of the PE array's issue
         // slots, in (pre-overlap) seconds. The ceil() rounding, the PU
         // reduction trees, and the inter-level bus turnarounds are level

@@ -104,7 +104,7 @@ VtaBackend::simulateImpl(const lower::Partition &partition,
     r.joules = m.watts * r.seconds;
     (void)hz;
 
-    if (CostLedger *ledger = beginLedger(r, r.machine)) {
+    if (CostLedger *ledger = beginLedger(r, r.machine, profile.profiling)) {
         // Layer time is a plain sum of flops/(peak*eff) terms, so the
         // per-layer attribution is exact. DMA splits by traffic class:
         // weights (resident or re-streamed) vs. activations.

@@ -5,6 +5,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "pmlang/builtins.h"
 #include "pmlang/lexer.h"
 #include "pmlang/parser.h"
@@ -37,6 +40,34 @@ TEST(Lexer, KeywordsAndDomains)
               (std::vector<Tok>{Tok::KwInput, Tok::KwState, Tok::KwRBT,
                                 Tok::KwDL, Tok::KwIndex, Tok::KwReduction,
                                 Tok::Eof}));
+}
+
+TEST(Lexer, KeywordPrefixesAreIdentifiers)
+{
+    EXPECT_EQ(kindsOf("inputs DAx floaty indexes D reductio complexity"),
+              (std::vector<Tok>{Tok::Ident, Tok::Ident, Tok::Ident,
+                                Tok::Ident, Tok::Ident, Tok::Ident,
+                                Tok::Ident, Tok::Eof}));
+    EXPECT_EQ(kindsOf("bin int str float complex param output GA DSP"),
+              (std::vector<Tok>{Tok::KwBin, Tok::KwInt, Tok::KwStr,
+                                Tok::KwFloat, Tok::KwComplex, Tok::KwParam,
+                                Tok::KwOutput, Tok::KwGA, Tok::KwDSP,
+                                Tok::Eof}));
+}
+
+TEST(Lexer, TokensViewTheSource)
+{
+    const std::string src = "alpha = \"text\" + 2.5;";
+    Lexer lexer(src);
+    const auto toks = lexer.lexAll();
+    ASSERT_EQ(toks.size(), 7u);
+    EXPECT_EQ(toks[0].text, "alpha");
+    EXPECT_EQ(toks[0].text.data(), src.data());
+    EXPECT_EQ(toks[2].text, "text"); // a string literal without quotes
+    EXPECT_EQ(toks[2].text.data(), src.data() + 9);
+    EXPECT_EQ(toks[4].text, "2.5");
+    EXPECT_EQ(toks[6].kind, Tok::Eof);
+    EXPECT_TRUE(toks[6].text.empty());
 }
 
 TEST(Lexer, TwoCharOperators)
@@ -82,12 +113,24 @@ TEST(Lexer, RejectsStrayCharacters)
     EXPECT_THROW(kindsOf("\"unterminated"), UserError);
 }
 
-ExprPtr
+/** A standalone expression with the parser whose arena holds it. */
+struct ParsedExpr
+{
+    explicit ParsedExpr(const std::string &text)
+        : parser(Lexer(text).lexAll()), root(parser.parseStandaloneExpr())
+    {
+    }
+    const Expr &operator*() const { return *root; }
+    const Expr *operator->() const { return root; }
+
+    Parser parser;
+    ExprPtr root;
+};
+
+ParsedExpr
 parseExprText(const std::string &text)
 {
-    Lexer lexer(text);
-    Parser parser(lexer.lexAll());
-    return parser.parseStandaloneExpr();
+    return ParsedExpr(text);
 }
 
 TEST(Parser, PrecedenceMulOverAdd)
@@ -321,6 +364,40 @@ TEST(Parser, ExpressionsAtTheDepthBoundParse)
                  UserError);
 }
 
+TEST(Parser, ProgramsOwnTheirNodesAcrossMoves)
+{
+    // The nodes live in the Program's arena: moving the Program keeps
+    // every node where it was, and the tree outlives the source text.
+    std::optional<Program> moved;
+    const Expr *value = nullptr;
+    {
+        std::string src = "main(input float a[4], output float y) {\n"
+                          "    index i[0:3];\n"
+                          "    y = sum[i](a[i] * 2) + 1;\n}\n";
+        Program prog = parse(src);
+        value = prog.components[0].body[1]->value;
+        moved.emplace(std::move(prog));
+        src.assign(src.size(), '#');
+    }
+    EXPECT_EQ(moved->components[0].body[1]->value, value);
+    EXPECT_EQ(exprToString(*value), "(sum[i]((a[i] * 2)) + 1)");
+    EXPECT_EQ(moved->components[0].args[0].name, "a");
+    EXPECT_EQ(exprToString(*moved->components[0].args[0].dims[0]), "4");
+}
+
+TEST(Parser, ProgramsLargerThanOneChunkParse)
+{
+    // 3,000 statements overflow every arena kind's first chunk.
+    std::string src = "main(input float a, output float y) {\n";
+    for (int i = 0; i < 3000; ++i)
+        src += "    y = a * " + std::to_string(i) + " + (a - 1) * a;\n";
+    src += "}\n";
+    const Program prog = parse(src);
+    ASSERT_EQ(prog.components[0].body.size(), 3000u);
+    EXPECT_EQ(exprToString(*prog.components[0].body[2999]->value),
+              "((a * 2999) + ((a - 1) * a))");
+}
+
 TEST(Parser, ExtremeButFiniteLiteralsParseExactly)
 {
     const auto e = parseExprText("1e308");
@@ -442,6 +519,77 @@ TEST(Sema, RecursionRejected)
         "g(input float x, output float y) { float t; f(x, t); y = t; }"
         "main(input float a, output float b) { f(a, b); }",
         "recursive");
+}
+
+/** main -> f1 -> ... -> f<n-1>, each instantiating the next; with
+ *  @p deepestFirst the declarations come in reverse. Component i's call
+ *  sits on line 3i + 2 when declared in order. */
+std::string
+componentChain(int n, bool deepestFirst = false)
+{
+    std::vector<std::string> comps;
+    for (int i = 0; i < n; ++i) {
+        const std::string body = i + 1 < n
+                                     ? "f" + std::to_string(i + 1) + "(x, y);"
+                                     : "y = x + 1;";
+        comps.push_back((i == 0 ? std::string("main")
+                                : "f" + std::to_string(i)) +
+                        "(input float x, output float y) {\n    " + body +
+                        "\n}\n");
+    }
+    if (deepestFirst)
+        std::reverse(comps.begin(), comps.end());
+    std::string out;
+    for (const auto &c : comps)
+        out += c;
+    return out;
+}
+
+TEST(Sema, ComponentChainDepthIsBounded)
+{
+    const int max = kMaxComponentDepth;
+    // At the bound: accepted, whatever the declaration order.
+    EXPECT_NO_THROW(analyze(parse(componentChain(max))));
+    EXPECT_NO_THROW(analyze(parse(componentChain(max, true))));
+    // Past it, the 10,000-deep chain that used to overflow the stack is
+    // rejected at the instantiation one level too deep: the call in
+    // f255, component 256 of the chain.
+    for (const int n : {max + 1, 10000}) {
+        try {
+            analyze(parse(componentChain(n)));
+            ADD_FAILURE() << n << " components: expected a UserError";
+        } catch (const UserError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "component instantiation nested deeper than 256 "
+                          "levels"),
+                      std::string::npos)
+                << e.what();
+            EXPECT_EQ(e.loc().line, 3 * (max - 1) + 2);
+            EXPECT_EQ(e.loc().column, 5);
+        }
+    }
+    // Declared deepest first, the walk meets finished components and
+    // rejects the first whose chain is one too tall.
+    expectSemaError(componentChain(10000, true), "nested deeper than 256");
+    // With its second half declared first, a chain is walked in two
+    // parts, and the part on the path still counts toward the depth.
+    auto tailFirst = [](const std::string &chain) {
+        const size_t tail =
+            chain.find("f" + std::to_string(kMaxComponentDepth / 2) + "(input");
+        return chain.substr(tail) + chain.substr(0, tail);
+    };
+    EXPECT_NO_THROW(analyze(parse(tailFirst(componentChain(max)))));
+    expectSemaError(tailFirst(componentChain(max + 1)),
+                    "nested deeper than 256");
+}
+
+TEST(Sema, RecursionAtTheDepthBoundIsARecursionError)
+{
+    // The last of 256 components instantiates main again: the path is
+    // full, but the cycle is what gets reported.
+    std::string src = componentChain(kMaxComponentDepth);
+    src.replace(src.find("y = x + 1;"), 10, "main(x, y);");
+    expectSemaError(src, "recursive instantiation of component 'main'");
 }
 
 TEST(Sema, UnknownReductionRejected)

@@ -31,10 +31,13 @@
 #include "core/net.h"
 #include "lower/compile_cache.h"
 #include "pmlang/parser.h"
+#include "pmlang/sema.h"
 #include "service/client.h"
 #include "service/exec.h"
 #include "service/protocol.h"
 #include "service/server.h"
+#include "soc/soc.h"
+#include "targets/common/cost_ledger.h"
 
 namespace polymath {
 namespace {
@@ -457,6 +460,67 @@ TEST(ServiceServer, OverDeepExpressionsGetPositionedErrors)
     server.wait();
 }
 
+/** main -> f1 -> ... -> f<n-1>: one instantiation chain @p n deep. */
+std::string
+componentChainSource(int n)
+{
+    std::string out;
+    for (int i = 0; i < n; ++i) {
+        out += (i == 0 ? std::string("main") : "f" + std::to_string(i)) +
+               "(input float x, output float y) { ";
+        out += i + 1 < n ? "f" + std::to_string(i + 1) + "(x, y); }\n"
+                         : "y = x + 1; }\n";
+    }
+    return out;
+}
+
+TEST(ServiceServer, DeepComponentChainsGetPositionedErrors)
+{
+    lower::CompileCache cache;
+    service::ServerConfig config;
+    config.socketPath = testSocket("chain");
+    config.jobs = 2;
+    config.cache = &cache;
+    service::Server server(config);
+    server.start();
+
+    // A 10,000-deep instantiation chain used to overflow a worker's stack
+    // and kill the daemon; it is a positioned user error now, at the call
+    // in f255 (line 256) that goes one level past the bound.
+    service::Client client(config.socketPath);
+    auto deep = compileRequest(componentChainSource(10000), 1);
+    deep.verb = service::Verb::Simulate;
+    const auto rejected = client.call(deep);
+    EXPECT_FALSE(rejected.ok);
+    EXPECT_EQ(rejected.code, 1);
+    EXPECT_NE(rejected.error.find(
+                  "256:39: error: component instantiation nested deeper "
+                  "than " +
+                  std::to_string(lang::kMaxComponentDepth) + " levels"),
+              std::string::npos)
+        << rejected.error;
+
+    // The deepest admitted chain runs end to end on a worker thread, and
+    // the daemon goes on serving.
+    auto bound =
+        compileRequest(componentChainSource(lang::kMaxComponentDepth), 2);
+    bound.verb = service::Verb::Simulate;
+    bound.optimize = true;
+    const auto ok = client.call(bound);
+    EXPECT_TRUE(ok.ok) << ok.error;
+    const auto next = client.call(compileRequest(tinySource(0), 3));
+    EXPECT_TRUE(next.ok) << next.error;
+
+    service::Request shutdown_req;
+    shutdown_req.verb = service::Verb::Shutdown;
+    const auto bye = client.call(shutdown_req);
+    EXPECT_TRUE(bye.ok);
+    EXPECT_DOUBLE_EQ(bye.stats.at("offered"), 3.0);
+    EXPECT_DOUBLE_EQ(bye.stats.at("completed") + bye.stats.at("rejected"),
+                     bye.stats.at("offered"));
+    server.wait();
+}
+
 TEST(ServiceServer, RoundRobinKeepsSmallClientsAhead)
 {
     using Clock = std::chrono::steady_clock;
@@ -608,6 +672,53 @@ TEST(ServiceServer, ShutdownDrainsQueuedWorkFirst)
     server.wait();
     // Fully stopped: the socket is gone, new connections fail.
     EXPECT_THROW(service::Client{config.socketPath}, UserError);
+}
+
+TEST(ServiceExec, ProfilingIsPerRequest)
+{
+    ASSERT_FALSE(target::profilingEnabled());
+    auto profile = compileRequest(wideSource(7), 1);
+    profile.verb = service::Verb::Profile;
+    profile.invocations = 3;
+    auto simulate = profile;
+    simulate.verb = service::Verb::Simulate;
+
+    // Profile, then simulate, in one process and on one cache.
+    lower::CompileCache cache;
+    const auto profiled = service::runRequest(profile, cache);
+    ASSERT_FALSE(profiled.profileJson.empty());
+    // The profile request leaves no process-wide switch on behind it...
+    EXPECT_FALSE(target::profilingEnabled());
+    const auto plain = service::runRequest(simulate, cache);
+    EXPECT_TRUE(plain.cacheHit);
+    EXPECT_TRUE(plain.profileJson.empty());
+    // ...so a simulation with the simulate request's profile builds no
+    // ledger, and only one that asks for it does.
+    target::WorkloadProfile workload;
+    workload.invocations = simulate.invocations;
+    for (const auto &part :
+         soc::SocRuntime().execute(*plain.program, workload).partitions)
+        EXPECT_EQ(part.ledger, nullptr);
+    workload.profiling = true;
+    for (const auto &part :
+         soc::SocRuntime().execute(*plain.program, workload).partitions)
+        EXPECT_NE(part.ledger, nullptr);
+
+    // Both replies are byte-identical to the same requests in the other
+    // order and to runs under the process-wide switch.
+    lower::CompileCache fresh;
+    const auto plainFirst = service::runRequest(simulate, fresh);
+    const auto profiledSecond = service::runRequest(profile, fresh);
+    EXPECT_EQ(plainFirst.out, plain.out);
+    EXPECT_EQ(profiledSecond.out, profiled.out);
+    EXPECT_EQ(profiledSecond.profileJson, profiled.profileJson);
+    target::setProfilingEnabled(true);
+    const auto plainSwitched = service::runRequest(simulate, fresh);
+    const auto profiledSwitched = service::runRequest(profile, fresh);
+    target::setProfilingEnabled(false);
+    EXPECT_EQ(plainSwitched.out, plain.out);
+    EXPECT_EQ(profiledSwitched.out, profiled.out);
+    EXPECT_EQ(profiledSwitched.profileJson, profiled.profileJson);
 }
 
 // ---------------------------------------------------------------------

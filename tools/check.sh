@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 gate: build + ctest under the default (Release) configuration,
 # again under ASan/UBSan, a focused standalone-UBSan pass over the SoC
-# scheduler/fault tests (recovery disabled, so findings fail instead of
-# logging), and a focused ThreadSanitizer pass (see CMakePresets.json).
+# scheduler/fault tests and hostile PMLang (the parser-diagnostics
+# corpus and a 10,000-component chain through pmc and a live pmcd;
+# recovery disabled, so findings fail instead of logging), and a focused
+# ThreadSanitizer pass (see CMakePresets.json).
 # Run from anywhere; operates on the repo root. `tools/check.sh
 # default`, `tools/check.sh asan`, `tools/check.sh ubsan`, or
 # `tools/check.sh tsan` runs a single configuration.
@@ -79,13 +81,18 @@ for preset in "${presets[@]}"; do
         # Standalone UBSan (no ASan shadow memory, recovery disabled):
         # focused on the SoC scheduler and fault-model arithmetic —
         # virtual-time accumulation, exponential backoff shifts, and the
-        # seeded hash draws are the paths most likely to hide UB.
-        echo "== [$preset] build (test_soc test_resilience test_stream) =="
+        # seeded hash draws are the paths most likely to hide UB — and
+        # on hostile PMLang: the pinned parser-diagnostics corpus and a
+        # generated 10,000-component chain, which pmc must reject with
+        # exit 1 and a live pmcd must survive (the asan pass runs both
+        # as part of its full ctest).
+        echo "== [$preset] build (test_soc test_resilience test_stream" \
+             "pmc pmcd) =="
         cmake --build --preset ubsan -j "$jobs" \
-            --target test_soc test_resilience test_stream
+            --target test_soc test_resilience test_stream pmc pmcd
         echo "== [$preset] test =="
         ctest --test-dir build-ubsan -j "$jobs" --output-on-failure \
-            -R '^(test_soc|test_resilience|test_stream)$'
+            -R '^(test_soc|test_resilience|test_stream|pmc_parse_diagnostics|pmc_deep_component_chain)$'
         continue
     fi
     if [ "$preset" = tsan ]; then
